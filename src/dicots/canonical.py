@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .forms import FormId, Store, notation
-from .order import geq, geq_zero, leq_zero
+from .order import _geq, geq_zero, leq_zero
 from .outcomes import Outcome, outcome
 
 
@@ -49,71 +49,58 @@ class StepKind(Enum):
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """One applied rewrite: ``before`` became ``after``.
-
-    ``removed`` and ``added`` are the option-level deltas (per side, then
-    unioned), for reading traces without re-deriving the rewrite.
-    """
+    """One applied rewrite: ``before`` became ``after`` by a rewrite of kind
+    ``kind`` at the root of ``before``."""
 
     kind: StepKind
     before: FormId
     after: FormId
-    removed: tuple[FormId, ...]
-    added: tuple[FormId, ...]
-
-
-def _record(store: Store, before: FormId, after: FormId, kind: StepKind) -> ReductionStep:
-    lb, rb = set(store.left(before)), set(store.right(before))
-    la, ra = set(store.left(after)), set(store.right(after))
-    return ReductionStep(
-        kind=kind,
-        before=before,
-        after=after,
-        removed=tuple(sorted((lb - la) | (rb - ra))),
-        added=tuple(sorted((la - lb) | (ra - rb))),
-    )
 
 
 def reduce_once(store: Store, g: FormId) -> tuple[FormId, ReductionStep] | None:
     """First applicable rewrite of g at the root, or None when none applies.
 
-    Callers must have canonicalised every proper follower first; `canonical`
-    arranges that bottom-up. The scan order is fixed so traces reproduce:
-    domination (Left then Right), reversibility with replacements (Left then
-    Right), reversibility through the endgame (Left then Right), then the
-    two-singleton collapse to 0; candidates are tried in stored (ascending
-    id) order.
+    Each rewrite preserves the value of g whatever its options are;
+    `canonical` canonicalises every proper follower first (bottom-up), which
+    is what makes its fixpoint the canonical form. The scan order is fixed
+    so traces reproduce: domination (Left then Right), reversibility with
+    replacements (Left then Right), reversibility through the endgame (Left
+    then Right), then the two-singleton collapse to 0; candidates are tried
+    in stored (ascending id) order.
     """
     left, right = store.left(g), store.right(g)
+    lefts, rights = store._lefts, store._rights
     zero, star = store.zero, store.star
+    intern = store._intern_sorted
+    memo = store.geq_memo
 
     for a in left:
-        if any(b != a and geq(store, b, a) for b in left):
-            after = store.intern([x for x in left if x != a], right)
-            return after, _record(store, g, after, StepKind.DOMINATION_L)
+        if any(b != a and _geq(store, memo, b, a) for b in left):
+            after = intern(tuple(x for x in left if x != a), right)
+            return after, ReductionStep(StepKind.DOMINATION_L, g, after)
     for a in right:
-        if any(b != a and geq(store, a, b) for b in right):
-            after = store.intern(left, [x for x in right if x != a])
-            return after, _record(store, g, after, StepKind.DOMINATION_R)
+        if any(b != a and _geq(store, memo, a, b) for b in right):
+            after = intern(left, tuple(x for x in right if x != a))
+            return after, ReductionStep(StepKind.DOMINATION_R, g, after)
 
     for a in left:
-        for b in store.right(a):
-            if store.left(b) and geq(store, g, b):
+        for b in rights[a]:
+            if lefts[b] and _geq(store, memo, g, b):
                 repl = set(left)
                 repl.discard(a)
-                repl.update(store.left(b))
-                after = store.intern(repl, right)
+                repl.update(lefts[b])
+                after = intern(tuple(sorted(repl)), right)
                 if after != g:
-                    return after, _record(store, g, after, StepKind.NON_ATOMIC_REVERSE_L)
+                    return after, ReductionStep(StepKind.NON_ATOMIC_REVERSE_L, g, after)
     for a in right:
-        for b in store.left(a):
-            if store.right(b) and geq(store, b, g):
+        for b in lefts[a]:
+            if rights[b] and _geq(store, memo, b, g):
                 repl = set(right)
                 repl.discard(a)
-                repl.update(store.right(b))
-                after = store.intern(left, repl)
+                repl.update(rights[b])
+                after = intern(left, tuple(sorted(repl)))
                 if after != g:
-                    return after, _record(store, g, after, StepKind.NON_ATOMIC_REVERSE_R)
+                    return after, ReductionStep(StepKind.NON_ATOMIC_REVERSE_R, g, after)
 
     # Reversibility through the endgame. In a dicot store the endgame is the
     # only form without Left options, so "A reverses through an option-less
@@ -121,45 +108,45 @@ def reduce_once(store: Store, g: FormId) -> tuple[FormId, ReductionStep] | None:
     if geq_zero(store, g):
         winners = [c for c in left if outcome(store, c) in (Outcome.L, Outcome.P)]
         for a in left:
-            if zero not in store.right(a):
+            if zero not in rights[a]:
                 continue
             if any(c != a for c in winners):
-                after = store.intern([x for x in left if x != a], right)
-                return after, _record(store, g, after, StepKind.ATOMIC_REVERSE_DROP_L)
+                after = intern(tuple(x for x in left if x != a), right)
+                return after, ReductionStep(StepKind.ATOMIC_REVERSE_DROP_L, g, after)
             # g >= 0 guarantees Left a winning first move, so the unique
             # winner must be a itself: bypassing it still leaves *.
             assert winners == [a]
             repl = set(left)
             repl.discard(a)
             repl.add(star)
-            after = store.intern(repl, right)
+            after = intern(tuple(sorted(repl)), right)
             if after != g:
-                return after, _record(store, g, after, StepKind.ATOMIC_REVERSE_STAR_L)
+                return after, ReductionStep(StepKind.ATOMIC_REVERSE_STAR_L, g, after)
     if leq_zero(store, g):
         winners = [c for c in right if outcome(store, c) in (Outcome.R, Outcome.P)]
         for a in right:
-            if zero not in store.left(a):
+            if zero not in lefts[a]:
                 continue
             if any(c != a for c in winners):
-                after = store.intern(left, [x for x in right if x != a])
-                return after, _record(store, g, after, StepKind.ATOMIC_REVERSE_DROP_R)
+                after = intern(left, tuple(x for x in right if x != a))
+                return after, ReductionStep(StepKind.ATOMIC_REVERSE_DROP_R, g, after)
             assert winners == [a]
             repl = set(right)
             repl.discard(a)
             repl.add(star)
-            after = store.intern(left, repl)
+            after = intern(left, tuple(sorted(repl)))
             if after != g:
-                return after, _record(store, g, after, StepKind.ATOMIC_REVERSE_STAR_R)
+                return after, ReductionStep(StepKind.ATOMIC_REVERSE_STAR_R, g, after)
 
     if len(left) == 1 and len(right) == 1:
         a, c = left[0], right[0]
         if (
-            zero in store.right(a)
-            and zero in store.left(c)
+            zero in rights[a]
+            and zero in lefts[c]
             and geq_zero(store, g)
             and leq_zero(store, g)
         ):
-            return zero, _record(store, g, zero, StepKind.SUBSTITUTION)
+            return zero, ReductionStep(StepKind.SUBSTITUTION, g, zero)
 
     return None
 
@@ -167,31 +154,44 @@ def reduce_once(store: Store, g: FormId) -> tuple[FormId, ReductionStep] | None:
 def canonical(store: Store, g: FormId) -> FormId:
     """The canonical form of g: smallest form equivalent to g, memoized.
 
-    Works bottom-up over g's followers in birthday order: replace every
-    option by its canonical form, then rewrite at the root to a fixpoint.
-    The steps applied at each follower are recorded for ``explain``.
+    Works bottom-up over g's followers in ascending id order (every option
+    is older than its form, so options come first): replace every option by
+    its canonical form, then rewrite at the root to a fixpoint. The steps
+    applied at each follower are recorded for ``explain``.
+
+    The root rewrite of a form depends on that form alone, and different
+    followers often pass through the same intermediate forms, so inside the
+    fixpoint it is memoized per form in the store's ``rewrite`` table (filled
+    only here: its size counts the root scans canonicalisation made). A
+    follower's steps are published before its canonical form, so whoever
+    sees the form also finds its steps.
     """
-    memo = store.cache("canonical")
+    memo = store.canonical_memo
     got = memo.get(g)
     if got is not None:
         return got
-    steps_memo = store.cache("canonical_steps")
-    for f in sorted(store.followers(g), key=lambda x: (store.birthday(x), x)):
+    steps_memo = store.canonical_steps_memo
+    rewrites = store.rewrite_memo
+    lefts, rights = store._lefts, store._rights
+    for f in store.followers(g):
         if f in memo:
             continue
-        h = store.intern(
-            [memo[x] for x in store.left(f)],
-            [memo[x] for x in store.right(f)],
+        h = store._intern_sorted(
+            tuple(sorted({memo[x] for x in lefts[f]})),
+            tuple(sorted({memo[x] for x in rights[f]})),
         )
         steps = []
         while True:
-            hit = reduce_once(store, h)
+            if h in rewrites:
+                hit = rewrites[h]
+            else:
+                hit = rewrites[h] = reduce_once(store, h)
             if hit is None:
                 break
             h, step = hit
             steps.append(step)
-        memo[f] = h
         steps_memo[f] = tuple(steps)
+        memo[f] = h
     return memo[g]
 
 
@@ -208,7 +208,7 @@ def explain(store: Store, g: FormId) -> list[ReductionStep]:
     everywhere) transforms g into canonical(store, g).
     """
     canonical(store, g)
-    steps_memo = store.cache("canonical_steps")
+    steps_memo = store.canonical_steps_memo
     out: list[ReductionStep] = []
     for f in sorted(store.followers(g), key=lambda x: (store.birthday(x), x)):
         out.extend(steps_memo[f])

@@ -43,8 +43,6 @@ DEFAULT_BIRTHDAY_BOUND = 3
 # Fixed seed so sampled enumeration is reproducible across runs and machines.
 ENUMERATION_SEED = 271828
 
-_MISS = object()
-
 
 class DicotViolation(ValueError):
     """Raised when exactly one option set of a form would be empty."""
@@ -66,13 +64,37 @@ class ParseError(ValueError):
         self.position = position
 
 
+# Names of the memo tables every Store owns. Table ``name`` is the store
+# attribute ``<name>_memo``; ``Store.cache(name)`` returns that same dict.
+MEMO_TABLES = (
+    "sum",
+    "conjugate",
+    "followers",
+    "birthday",
+    "adjoint",
+    "outcome",
+    "first_wins",
+    "geq",
+    "geq_zero",
+    "leq_zero",
+    "canonical",
+    "canonical_steps",
+    "rewrite",
+    "self_pair",
+)
+
+
 class Store:
     """Append-only interning table for dicot forms.
 
     Ids are indices into the table and stay valid for the store's lifetime.
-    Get-or-insert is atomic (a lock guards the table), and everything else
+    Get-or-insert is atomic (a lock guards insertion), and everything else
     built on top is a pure memoized function of ids, so concurrent readers
     are safe. ``zero`` and ``star`` are pre-interned with ids 0 and 1.
+
+    The memo tables are plain dict attributes named ``<name>_memo``, one per
+    entry of MEMO_TABLES, keyed by form id (or id pair) and filled by the
+    function they memoize, here or in the module that defines it.
     """
 
     def __init__(self):
@@ -80,8 +102,21 @@ class Store:
         self._lefts: list[tuple[FormId, ...]] = []
         self._rights: list[tuple[FormId, ...]] = []
         self._ids: dict[tuple, FormId] = {}
-        self._caches: dict[str, dict] = {}
         self._nimbers: list[FormId] = []
+        self.sum_memo: dict = {}
+        self.conjugate_memo: dict = {}
+        self.followers_memo: dict = {}
+        self.birthday_memo: dict = {}
+        self.adjoint_memo: dict = {}
+        self.outcome_memo: dict = {}
+        self.first_wins_memo: dict = {}
+        self.geq_memo: dict = {}
+        self.geq_zero_memo: dict = {}
+        self.leq_zero_memo: dict = {}
+        self.canonical_memo: dict = {}
+        self.canonical_steps_memo: dict = {}
+        self.rewrite_memo: dict = {}
+        self.self_pair_memo: dict = {}
         self.zero = self.intern((), ())
         self.star = self.intern((self.zero,), (self.zero,))
 
@@ -106,14 +141,25 @@ class Store:
             for x in l + r:
                 if not (isinstance(x, int) and 0 <= x < n):
                     raise UnknownId(f"option {x!r} is not an interned form")
-            key = (l, r)
-            gid = self._ids.get(key)
-            if gid is None:
-                gid = n
-                self._ids[key] = gid
-                self._lefts.append(l)
-                self._rights.append(r)
-            return gid
+            return self._intern_sorted(l, r)
+
+    def _intern_sorted(self, l: tuple[FormId, ...], r: tuple[FormId, ...]) -> FormId:
+        """``intern`` for option tuples the store itself produced: interned
+        ids, sorted, duplicate free, and both sides empty or neither. Nothing
+        is checked. A hit takes no lock; a new form is published in ``_ids``
+        only after its options are in place, so a lock-free reader never
+        sees an id it cannot look up."""
+        key = (l, r)
+        gid = self._ids.get(key)
+        if gid is None:
+            with self._lock:
+                gid = self._ids.get(key)
+                if gid is None:
+                    gid = len(self._lefts)
+                    self._lefts.append(l)
+                    self._rights.append(r)
+                    self._ids[key] = gid
+        return gid
 
     def left(self, g: FormId) -> tuple[FormId, ...]:
         """Left options of g, sorted by id."""
@@ -128,20 +174,30 @@ class Store:
         return self._rights[g]
 
     def cache(self, name: str) -> dict:
-        """Named memo table owned by this store (created on first use)."""
-        d = self._caches.get(name)
-        if d is None:
-            d = self._caches.setdefault(name, {})
-        return d
+        """The memo table called ``name`` in MEMO_TABLES: the very dict held
+        by the attribute ``<name>_memo``. Raises KeyError for other names."""
+        if name not in MEMO_TABLES:
+            raise KeyError(f"no memo table named {name!r}")
+        return getattr(self, name + "_memo")
+
+    def stats(self) -> dict[str, int]:
+        """Number of interned forms (``forms``) and the size of every memo
+        table, by name. A memo miss inserts one entry (two for
+        ``conjugate``: g and its conjugate), so sizes count the work done."""
+        out = {"forms": len(self)}
+        for name in MEMO_TABLES:
+            out[name] = len(self.cache(name))
+        return out
 
     def conjugate(self, g: FormId) -> FormId:
         """Swap the players everywhere. An involution."""
-        memo = self.cache("conjugate")
+        memo = self.conjugate_memo
         c = memo.get(g)
         if c is None:
-            c = self.intern(
-                tuple(self.conjugate(x) for x in self._rights[g]),
-                tuple(self.conjugate(x) for x in self._lefts[g]),
+            conj = self.conjugate
+            c = self._intern_sorted(
+                tuple(sorted([conj(x) for x in self._rights[g]])),
+                tuple(sorted([conj(x) for x in self._lefts[g]])),
             )
             memo[g] = c
             memo[c] = g
@@ -151,38 +207,35 @@ class Store:
         """Disjunctive sum: move in one component, the other stays put."""
         if h < g:
             g, h = h, g
-        if g == self.zero:
+        if g == 0:  # the endgame, pre-interned as id 0
             return h
-        memo = self.cache("sum")
         key = (g, h)
-        s = memo.get(key)
+        s = self.sum_memo.get(key)
         if s is None:
-            left = {self.sum(gl, h) for gl in self._lefts[g]}
-            left.update(self.sum(g, hl) for hl in self._lefts[h])
-            right = {self.sum(gr, h) for gr in self._rights[g]}
-            right.update(self.sum(g, hr) for hr in self._rights[h])
-            s = self.intern(left, right)
-            memo[key] = s
+            add = self.sum
+            lefts, rights = self._lefts, self._rights
+            left = {add(gl, h) for gl in lefts[g]}
+            left.update([add(g, hl) for hl in lefts[h]])
+            right = {add(gr, h) for gr in rights[g]}
+            right.update([add(g, hr) for hr in rights[h]])
+            s = self._intern_sorted(tuple(sorted(left)), tuple(sorted(right)))
+            self.sum_memo[key] = s
         return s
 
     def adjoint(self, g: FormId) -> FormId:
         """The adjoint of g: a form whose sum with g is a previous-player win.
 
-        Options are adjoints of the opposite player's options; a player with
-        no move in g gets the single option 0 instead, and the adjoint of the
-        endgame is *. Dicot stores only ever hit the endgame and two-sided
-        cases, but all four are implemented.
+        The adjoint of the endgame is *; otherwise Left's options are the
+        adjoints of g's Right options and Right's the adjoints of g's Left
+        options. (Outside the dicots a player without a move gets the option
+        0 instead; in a dicot store no form is one-sided.)
         """
-        memo = self.cache("adjoint")
+        memo = self.adjoint_memo
         a = memo.get(g)
         if a is None:
             l, r = self._lefts[g], self._rights[g]
-            if not l and not r:
+            if not l:
                 a = self.star
-            elif not l:
-                a = self.intern(tuple(self.adjoint(x) for x in r), (self.zero,))
-            elif not r:
-                a = self.intern((self.zero,), tuple(self.adjoint(x) for x in l))
             else:
                 a = self.intern(
                     tuple(self.adjoint(x) for x in r),
@@ -193,7 +246,7 @@ class Store:
 
     def birthday(self, g: FormId) -> int:
         """Height of the game tree: 0 for the endgame, else 1 + max over options."""
-        memo = self.cache("birthday")
+        memo = self.birthday_memo
         b = memo.get(g)
         if b is None:
             opts = self._lefts[g] + self._rights[g]
@@ -203,7 +256,7 @@ class Store:
 
     def followers(self, g: FormId) -> tuple[FormId, ...]:
         """All positions reachable by any sequence of moves, g included, sorted by id."""
-        memo = self.cache("followers")
+        memo = self.followers_memo
         f = memo.get(g)
         if f is None:
             acc = {g}

@@ -48,10 +48,13 @@ class InvertReport:
 def is_invertible(store: Store, g: FormId) -> InvertReport:
     """Decide invertibility of g by the follower scan over its canonical form."""
     c = canonical(store, g)
+    pair = store.self_pair_memo
     follower_outcomes: dict = {}
     witness = None
     for f in store.followers(c):
-        o = outcome(store, store.sum(f, store.conjugate(f)))
+        o = pair.get(f)
+        if o is None:
+            o = pair[f] = outcome(store, store.sum(f, store.conjugate(f)))
         follower_outcomes[f] = o
         if o is Outcome.P and witness is None:
             witness = f

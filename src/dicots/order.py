@@ -13,7 +13,7 @@ out.
 ``geq_zero`` and ``leq_zero`` are the same recursion with the endgame
 substituted for one side, which collapses it to a linear scan: the outcome
 must be at least (at most) N, and every Right (Left) option must admit a
-Left (Right) response that is again >= 0 (<= 0). ``eq_zero`` combines both.
+Left (Right) response that is again >= 0 (<= 0). ``eq_zero`` is both at once.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class OrderResult(Enum):
 
 def geq(store: Store, g: FormId, h: FormId) -> bool:
     """True iff g >= h modulo the dicot misere universe."""
-    return _geq(store, store.cache("geq"), g, h)
+    return _geq(store, store.geq_memo, g, h)
 
 
 def _geq(store: Store, memo: dict, g: FormId, h: FormId) -> bool:
@@ -72,7 +72,7 @@ def _geq_compute(store: Store, memo: dict, g: FormId, h: FormId) -> bool:
 def geq_zero(store: Store, g: FormId) -> bool:
     """True iff g >= 0: outcome at least N, and every Right option admits a
     Left response that is again >= 0. Agrees with geq(store, g, zero)."""
-    return _geq_zero(store, store.cache("geq_zero"), g)
+    return _geq_zero(store, store.geq_zero_memo, g)
 
 
 def _geq_zero(store: Store, memo: dict, g: FormId) -> bool:
@@ -94,7 +94,7 @@ def _geq_zero(store: Store, memo: dict, g: FormId) -> bool:
 
 def leq_zero(store: Store, g: FormId) -> bool:
     """True iff g <= 0; the mirror of geq_zero. Agrees with geq(store, zero, g)."""
-    return _leq_zero(store, store.cache("leq_zero"), g)
+    return _leq_zero(store, store.leq_zero_memo, g)
 
 
 def _leq_zero(store: Store, memo: dict, g: FormId) -> bool:
@@ -115,17 +115,9 @@ def _leq_zero(store: Store, memo: dict, g: FormId) -> bool:
 
 
 def eq_zero(store: Store, g: FormId) -> bool:
-    """True iff g is equivalent to 0: outcome exactly N plus both zero covers."""
-    if outcome(store, g) is not Outcome.N:
-        return False
-    memo_g = store.cache("geq_zero")
-    memo_l = store.cache("leq_zero")
-    lefts, rights = store._lefts, store._rights
-    return all(
-        any(_geq_zero(store, memo_g, grl) for grl in lefts[gr]) for gr in rights[g]
-    ) and all(
-        any(_leq_zero(store, memo_l, glr) for glr in rights[gl]) for gl in lefts[g]
-    )
+    """True iff g is equivalent to 0: both zero tests hold (their outcome
+    conditions, at least N and at most N, meet exactly in N)."""
+    return geq_zero(store, g) and leq_zero(store, g)
 
 
 def eq(store: Store, g: FormId, h: FormId) -> bool:

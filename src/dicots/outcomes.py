@@ -59,12 +59,12 @@ def conjugate_outcome(a: Outcome) -> Outcome:
 
 def left_wins_moving_first(store: Store, g: FormId) -> bool:
     """True iff Left, moving first at g, wins with optimal play."""
-    return _wins(store, store.cache("first_wins"), g, True)
+    return _wins(store, store.first_wins_memo, g, True)
 
 
 def right_wins_moving_first(store: Store, g: FormId) -> bool:
     """True iff Right, moving first at g, wins with optimal play."""
-    return _wins(store, store.cache("first_wins"), g, False)
+    return _wins(store, store.first_wins_memo, g, False)
 
 
 def _wins(store: Store, memo: dict, g: FormId, left_to_move: bool) -> bool:
@@ -82,10 +82,10 @@ def _wins(store: Store, memo: dict, g: FormId, left_to_move: bool) -> bool:
 
 def outcome(store: Store, g: FormId) -> Outcome:
     """Misere outcome of g, memoized on the store."""
-    memo = store.cache("outcome")
+    memo = store.outcome_memo
     hit = memo.get(g)
     if hit is None:
-        first = store.cache("first_wins")
+        first = store.first_wins_memo
         lf = _wins(store, first, g, True)
         rf = _wins(store, first, g, False)
         if lf:

@@ -1,18 +1,25 @@
 """Reduction to canonical form and the reduction traces."""
 
 import itertools
+import sys
+import threading
 
 from dicots import (
+    ENUMERATION_SEED,
+    Store,
     StepKind,
     canonical,
+    enumerate_dicots,
     eq,
     explain,
     is_canonical,
+    is_invertible,
     notation,
     parse,
     reduce_once,
     step_as_dict,
 )
+from dicots.selftest import day2_population, day3_sample
 
 from _oracles import assert_replay_reaches_canonical, day2_by_hand
 
@@ -93,6 +100,20 @@ def test_reduce_once_preserves_value_even_with_raw_options(store, day3_big):
     assert fired > 0
 
 
+def test_reduce_once_ignores_the_rewrite_memo():
+    """The rewrite memo belongs to canonical's fixpoint loop, where every
+    proper follower is canonical; the public reduce_once neither reads nor
+    fills it."""
+    store = Store()
+    g = parse(store, "{{*|*}|{*|*}}")
+    hit = reduce_once(store, g)
+    assert hit is not None
+    assert store.rewrite_memo == {}
+    store.rewrite_memo[g] = None  # a memo entry claiming nothing applies
+    assert reduce_once(store, g) == hit
+    assert eq(store, g, hit[0])
+
+
 def test_pinned_traces(store):
     g = parse(store, "{0,{0,*|*}|0}")
     steps = [(s.kind.value, notation(store, s.after)) for s in explain(store, g)]
@@ -155,3 +176,60 @@ def test_step_as_dict(store):
         "before": "{*|*}",
         "after": "0",
     }
+
+
+def test_concurrent_explain_sees_complete_traces():
+    """Threads racing through canonical and explain on one shared store all
+    get the same complete traces. The switch interval is forced tiny so the
+    threads interleave inside canonical's bottom-up loop. Were a form's
+    canonical memo entry published before its steps, about one trial in
+    three would raise KeyError."""
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(10):
+            store = Store()
+            forms = day3_sample(store, 400)
+            results: list = [None] * 4
+            errors: list = []
+            barrier = threading.Barrier(4, timeout=60)
+
+            def work(slot: int) -> None:
+                barrier.wait()
+                try:
+                    results[slot] = [explain(store, g) for g in forms]
+                except Exception as exc:  # reported below, with its type
+                    errors.append(repr(exc))
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert all(r == results[0] for r in results)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_results_do_not_depend_on_store_history():
+    """canonical and explain give the same answers on a fresh store and on
+    one first warmed on a different population. Options are scanned and
+    printed in id order, so both stores intern day 2 first and agree on
+    those ids; every form born later gets different ids in the two."""
+    fresh = Store()
+    texts = [notation(fresh, g) for g in day3_sample(fresh, 300)]
+    warm = Store()
+    day2_population(warm)
+    for g in enumerate_dicots(warm, 3, limit=1500, seed=ENUMERATION_SEED + 1):
+        is_invertible(warm, g)
+    assert warm.stats()["rewrite"] > 0
+    for text in texts:
+        views = []
+        for s in (fresh, warm):
+            g = parse(s, text)
+            views.append(
+                (notation(s, canonical(s, g)), [step_as_dict(s, st) for st in explain(s, g)])
+            )
+        assert views[0] == views[1], text

@@ -13,9 +13,11 @@ from dicots import (
     Store,
     UnknownId,
     enumerate_dicots,
+    is_invertible,
     notation,
     parse,
 )
+from dicots.forms import MEMO_TABLES
 
 from _oracles import day2_by_hand
 
@@ -71,6 +73,53 @@ def test_unknown_ids_are_rejected(store):
         store.left(10**9)
     with pytest.raises(UnknownId):
         store.right(-1)
+
+
+def test_public_intern_keeps_its_checks_on_a_busy_store():
+    store = Store()
+    is_invertible(store, parse(store, "{0,*,*2|0}+{0|*2}"))
+    n = len(store)
+    for bad in (10**9, n, -1, "0", None):
+        with pytest.raises(UnknownId):
+            store.intern((bad,), (store.zero,))
+    with pytest.raises(DicotViolation):
+        store.intern((store.zero,), ())
+    with pytest.raises(DicotViolation):
+        store.intern((), (store.star,))
+    assert len(store) == n
+    store.validate()
+
+
+# Memo tables the benchmark reads by name through Store.cache.
+BENCH_TABLES = ("sum", "conjugate", "followers", "first_wins", "geq", "canonical", "canonical_steps")
+
+
+def test_cache_returns_the_attribute_tables():
+    store = Store()
+    tables = {name: store.cache(name) for name in MEMO_TABLES}
+    is_invertible(store, parse(store, "{0,*,*2|0}"))
+    for name in MEMO_TABLES:
+        assert store.cache(name) is tables[name] is getattr(store, f"{name}_memo")
+    assert set(BENCH_TABLES) <= set(MEMO_TABLES)
+    assert all(store.cache(name) for name in BENCH_TABLES)
+    with pytest.raises(KeyError):
+        store.cache("no-such-table")
+
+
+def test_stats_counts_forms_and_every_memo_table():
+    store = Store()
+    assert store.stats() == {"forms": 2, **dict.fromkeys(MEMO_TABLES, 0)}
+    g = parse(store, "{0,*,*2|0}")
+    report = is_invertible(store, g)
+    stats = store.stats()
+    assert list(stats) == ["forms", *MEMO_TABLES]
+    assert stats["forms"] == len(store)
+    for name in MEMO_TABLES:
+        assert stats[name] == len(store.cache(name))
+    # Deterministic work: g's four followers canonicalised, the three
+    # followers of its canonical form {0,*|0} paired with their conjugates.
+    assert stats["canonical"] == stats["canonical_steps"] == len(store.followers(g)) == 4
+    assert stats["self_pair"] == len(store.followers(report.canonical)) == 3
 
 
 def test_conjugate_swaps_players_and_is_an_involution(store, day2):
