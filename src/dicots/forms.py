@@ -76,7 +76,6 @@ MEMO_TABLES = (
     "first_wins",
     "geq",
     "geq_zero",
-    "leq_zero",
     "canonical",
     "canonical_steps",
     "rewrite",
@@ -112,7 +111,6 @@ class Store:
         self.first_wins_memo: dict = {}
         self.geq_memo: dict = {}
         self.geq_zero_memo: dict = {}
-        self.leq_zero_memo: dict = {}
         self.canonical_memo: dict = {}
         self.canonical_steps_memo: dict = {}
         self.rewrite_memo: dict = {}
@@ -130,8 +128,7 @@ class Store:
         yields the same id. Raises DicotViolation when exactly one side is
         empty and UnknownId when an option id is not in the table.
         """
-        l = tuple(sorted(set(left)))
-        r = tuple(sorted(set(right)))
+        l, r = tuple(left), tuple(right)
         if bool(l) != bool(r):
             raise DicotViolation(
                 "one-sided form: a dicot has moves for both players or neither"
@@ -139,9 +136,10 @@ class Store:
         with self._lock:
             n = len(self._lefts)
             for x in l + r:
-                if not (isinstance(x, int) and 0 <= x < n):
+                # bool is an int subclass; True and False are not ids.
+                if type(x) is not int or not 0 <= x < n:
                     raise UnknownId(f"option {x!r} is not an interned form")
-            return self._intern_sorted(l, r)
+            return self._intern_sorted(tuple(sorted(set(l))), tuple(sorted(set(r))))
 
     def _intern_sorted(self, l: tuple[FormId, ...], r: tuple[FormId, ...]) -> FormId:
         """``intern`` for option tuples the store itself produced: interned

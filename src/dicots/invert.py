@@ -4,10 +4,12 @@ A form G is invertible when some H sums with it to a form equivalent to 0;
 the only candidate is the conjugate of G, so invertibility is decidable two
 independent ways. ``is_invertible`` uses the structural criterion: after
 canonicalising, G is invertible exactly when no follower G' of the canonical
-form has G' + conjugate(G') as a previous-player win. ``oracle_invertible``
-instead asks the order machinery directly whether G + conjugate(G) is
-equivalent to 0. The two must agree; the test suite sweeps that agreement
-across whole populations.
+form has G' + conjugate(G') as a previous-player win; it builds each such
+sum and asks for its outcome. ``oracle_invertible`` instead asks the order
+machinery directly whether G + conjugate(G) is equivalent to 0, on the
+difference G - G held as the pair (G, G) of ids: it builds no sum and no
+conjugate, so the two routes share only the win solver. They must agree;
+the test suite sweeps that agreement across whole populations.
 
 ``lemma_witness`` and ``lemma_check`` exercise the fact that strictly
 positive forms stay non-negative in the presence of any pair H - H: when
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 from .canonical import canonical
 from .forms import FormId, Store, notation
-from .order import OrderResult, compare, eq_zero
+from .order import OrderResult, _geq_zero, compare, eq_zero
 from .outcomes import Outcome, outcome
 
 
@@ -77,8 +79,14 @@ def inverse(store: Store, g: FormId) -> FormId | None:
 
 
 def oracle_invertible(store: Store, g: FormId) -> bool:
-    """Invertibility decided the direct way: is g + conjugate(g) equal to 0?"""
-    return eq_zero(store, store.sum(g, store.conjugate(g)))
+    """Invertibility decided the direct way: is g + conjugate(g) equal to 0?
+
+    The sum is the difference g - g, decided as the pair (g, g) without
+    interning anything. g - g is its own conjugate, and g - g <= 0 means
+    that its conjugate is >= 0, so the <= 0 half of equality with 0 is the
+    >= 0 half again: one zero test settles it.
+    """
+    return _geq_zero(store, store.geq_zero_memo, g, g)
 
 
 def lemma_witness(store: Store, h: FormId) -> FormId | None:

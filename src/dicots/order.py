@@ -11,9 +11,13 @@ comparison strictly shrinks the combined birthday, so the recursion grounds
 out.
 
 ``geq_zero`` and ``leq_zero`` are the same recursion with the endgame
-substituted for one side, which collapses it to a linear scan: the outcome
-must be at least (at most) N, and every Right (Left) option must admit a
-Left (Right) response that is again >= 0 (<= 0). ``eq_zero`` is both at once.
+substituted for one side, which collapses it to a linear scan. It runs on a
+difference a - b, the sum a + conjugate(b) given as the pair of ids (a, b)
+and never interned: Left's options are (aL, b) and (a, bR), Right's are
+(aR, b) and (a, bL). a - b >= 0 when Left wins moving first and every Right
+option admits a Left response that is again >= 0. ``geq_zero(g)`` is the
+pair (g, 0) and ``leq_zero(g)`` the pair (0, g), because g <= 0 exactly when
+its conjugate 0 - g is >= 0. ``eq_zero`` is both at once.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .forms import FormId, Store
-from .outcomes import Outcome, outcome, outcome_geq
+from .outcomes import _wins, outcome, outcome_geq
 
 
 class OrderResult(Enum):
@@ -70,48 +74,29 @@ def _geq_compute(store: Store, memo: dict, g: FormId, h: FormId) -> bool:
 
 
 def geq_zero(store: Store, g: FormId) -> bool:
-    """True iff g >= 0: outcome at least N, and every Right option admits a
-    Left response that is again >= 0. Agrees with geq(store, g, zero)."""
-    return _geq_zero(store, store.geq_zero_memo, g)
-
-
-def _geq_zero(store: Store, memo: dict, g: FormId) -> bool:
-    hit = memo.get(g)
-    if hit is not None:
-        return hit
-    o = outcome(store, g)
-    if o is Outcome.L or o is Outcome.N:
-        lefts = store._lefts
-        result = all(
-            any(_geq_zero(store, memo, grl) for grl in lefts[gr])
-            for gr in store._rights[g]
-        )
-    else:
-        result = False
-    memo[g] = result
-    return result
+    """True iff g >= 0: Left wins moving first, and every Right option admits
+    a Left response that is again >= 0. Agrees with geq(store, g, zero)."""
+    return _geq_zero(store, store.geq_zero_memo, g, store.zero)
 
 
 def leq_zero(store: Store, g: FormId) -> bool:
-    """True iff g <= 0; the mirror of geq_zero. Agrees with geq(store, zero, g)."""
-    return _leq_zero(store, store.leq_zero_memo, g)
+    """True iff g <= 0, that is 0 - g >= 0. Agrees with geq(store, zero, g)."""
+    return _geq_zero(store, store.geq_zero_memo, store.zero, g)
 
 
-def _leq_zero(store: Store, memo: dict, g: FormId) -> bool:
-    hit = memo.get(g)
-    if hit is not None:
-        return hit
-    o = outcome(store, g)
-    if o is Outcome.R or o is Outcome.N:
-        rights = store._rights
-        result = all(
-            any(_leq_zero(store, memo, glr) for glr in rights[gl])
-            for gl in store._lefts[g]
+def _geq_zero(store: Store, memo: dict, a: FormId, b: FormId) -> bool:
+    """True iff the difference a - b is >= 0, decided on the pair (a, b)."""
+    key = (a, b)
+    hit = memo.get(key)
+    if hit is None:
+        lefts, rights = store._lefts, store._rights
+        hit = _wins(store, store.first_wins_memo, a, b) and all(
+            any(_geq_zero(store, memo, xl, y) for xl in lefts[x])
+            or any(_geq_zero(store, memo, x, yr) for yr in rights[y])
+            for x, y in [(ar, b) for ar in rights[a]] + [(a, bl) for bl in lefts[b]]
         )
-    else:
-        result = False
-    memo[g] = result
-    return result
+        memo[key] = hit
+    return hit
 
 
 def eq_zero(store: Store, g: FormId) -> bool:

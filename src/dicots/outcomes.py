@@ -13,8 +13,6 @@ from enum import Enum
 
 from .forms import FormId, Store
 
-_MISS = object()
-
 
 class Outcome(Enum):
     """Who wins under optimal misere play."""
@@ -59,25 +57,34 @@ def conjugate_outcome(a: Outcome) -> Outcome:
 
 def left_wins_moving_first(store: Store, g: FormId) -> bool:
     """True iff Left, moving first at g, wins with optimal play."""
-    return _wins(store, store.first_wins_memo, g, True)
+    return _wins(store, store.first_wins_memo, g, store.zero)
 
 
 def right_wins_moving_first(store: Store, g: FormId) -> bool:
     """True iff Right, moving first at g, wins with optimal play."""
-    return _wins(store, store.first_wins_memo, g, False)
+    return _wins(store, store.first_wins_memo, store.zero, g)
 
 
-def _wins(store: Store, memo: dict, g: FormId, left_to_move: bool) -> bool:
-    # No move means the opponent moved last and loses. Otherwise some move
-    # must leave the opponent, now to move, losing.
-    key = (g, left_to_move)
-    hit = memo.get(key, _MISS)
-    if hit is not _MISS:
-        return hit
-    opts = store._lefts[g] if left_to_move else store._rights[g]
-    result = not opts or any(not _wins(store, memo, o, not left_to_move) for o in opts)
-    memo[key] = result
-    return result
+def _wins(store: Store, memo: dict, a: FormId, b: FormId) -> bool:
+    """True iff Left, moving first on the difference a - b, wins.
+
+    a - b is a + conjugate(b), never built: Left moves to (aL, b) or
+    (a, bR). Right to move on x - y is Left to move on its conjugate y - x,
+    so one table keyed (a, b) holds both movers. No move means the opponent
+    moved last and loses; otherwise some move must leave the opponent, now
+    to move, losing.
+    """
+    key = (a, b)
+    hit = memo.get(key)
+    if hit is None:
+        al, br = store._lefts[a], store._rights[b]
+        hit = (
+            (not al and not br)
+            or any(not _wins(store, memo, b, x) for x in al)
+            or any(not _wins(store, memo, y, a) for y in br)
+        )
+        memo[key] = hit
+    return hit
 
 
 def outcome(store: Store, g: FormId) -> Outcome:
@@ -86,8 +93,8 @@ def outcome(store: Store, g: FormId) -> Outcome:
     hit = memo.get(g)
     if hit is None:
         first = store.first_wins_memo
-        lf = _wins(store, first, g, True)
-        rf = _wins(store, first, g, False)
+        lf = _wins(store, first, g, store.zero)
+        rf = _wins(store, first, store.zero, g)
         if lf:
             hit = Outcome.N if rf else Outcome.L
         else:

@@ -1,6 +1,6 @@
 import pytest
 
-from dicots import Store
+from dicots import Store, parse
 from dicots.selftest import day2_population, day3_sample
 
 
@@ -19,3 +19,19 @@ def day2(store):
 def day3_big(store):
     """The acceptance-scale day-3 sample; module tests slice a prefix."""
     return day3_sample(store, 10000)
+
+
+@pytest.fixture(scope="session")
+def raw_forms(store):
+    """Non-canonical forms, as census inputs are: sums, dominated and
+    reversible options, and options that are themselves not canonical."""
+    texts = [
+        "{0,*,*2|0}+{0|*2}",
+        "{{*|*}|{*|*}}",
+        "{0,{0|0,*},{*|0}|{0|0,*}}+*",
+        "*2+{*|0,*}",
+        "{0,*|{*|0,*},{0|0,*}}+{0|*2}",
+        "-{0,*,*2|0}+*3",
+        "{*+*,{0,*,*2|0}|{*|*}+*2}",
+    ]
+    return [parse(store, t) for t in texts]

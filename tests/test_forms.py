@@ -79,9 +79,11 @@ def test_public_intern_keeps_its_checks_on_a_busy_store():
     store = Store()
     is_invertible(store, parse(store, "{0,*,*2|0}+{0|*2}"))
     n = len(store)
-    for bad in (10**9, n, -1, "0", None):
+    for bad in (10**9, n, -1, "0", None, True, False):
         with pytest.raises(UnknownId):
             store.intern((bad,), (store.zero,))
+    with pytest.raises(UnknownId):
+        store.intern((store.zero, "0"), (store.zero,))
     with pytest.raises(DicotViolation):
         store.intern((store.zero,), ())
     with pytest.raises(DicotViolation):

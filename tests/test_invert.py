@@ -5,7 +5,9 @@ import pytest
 from dicots import (
     Outcome,
     PreconditionViolated,
+    Store,
     canonical,
+    eq,
     eq_zero,
     inverse,
     is_invertible,
@@ -106,6 +108,22 @@ def test_report_as_dict(store):
 def test_structural_criterion_agrees_with_direct_oracle(store, day2, day3_big):
     for g in day2 + day3_big[:500]:
         assert is_invertible(store, g).verdict == oracle_invertible(store, canonical(store, g))
+
+
+def test_direct_oracle_agrees_with_general_geq_on_the_built_sum(store, day2, day3_big, raw_forms):
+    """oracle_invertible builds nothing; here g + conjugate(g) is interned
+    and compared with 0 by the general geq recursion both ways."""
+    for g in day2 + day3_big[:2000] + raw_forms:
+        pair = store.sum(g, store.conjugate(g))
+        assert oracle_invertible(store, g) == eq(store, pair, store.zero)
+
+
+def test_direct_oracle_interns_nothing():
+    store = Store()
+    g = parse(store, "{0,*,*2|0}+{0|*2}")
+    before = (len(store), len(store.sum_memo), len(store.conjugate_memo))
+    assert not oracle_invertible(store, g)
+    assert (len(store), len(store.sum_memo), len(store.conjugate_memo)) == before
 
 
 def test_star2_follower_forces_non_invertibility(store, day2, day3_big):

@@ -116,6 +116,11 @@ def test_zero_specializations_agree_with_geq(store, day2, day3_big):
         assert leq_zero(store, g) == geq(store, store.zero, g)
 
 
+def test_leq_zero_is_geq_zero_of_the_conjugate(store, day2, day3_big, raw_forms):
+    for g in day2 + day3_big[:2000] + raw_forms:
+        assert leq_zero(store, g) == geq_zero(store, store.conjugate(g))
+
+
 def test_eq_zero_pinned_values(store):
     assert eq_zero(store, parse(store, "*+*"))
     assert not eq_zero(store, parse(store, "*2+*2"))

@@ -11,8 +11,9 @@ from dicots import (
     parse,
     right_wins_moving_first,
 )
+from dicots.outcomes import _wins
 
-from _oracles import brute_outcome, day2_by_hand
+from _oracles import brute_outcome, brute_wins, day2_by_hand
 
 # Derived with the brute minimax oracle and frozen.
 DAY2_OUTCOMES = {
@@ -112,3 +113,13 @@ def test_outcome_geq_truth_table():
 
 def test_outcome_str():
     assert [str(o) for o in Outcome] == ["L", "N", "P", "R"]
+
+
+def test_pair_wins_match_brute_minimax_on_the_built_difference(store, day2):
+    """_wins decides a - b on the id pair; the brute minimax walks the
+    interned sum a + conjugate(b)."""
+    memo: dict = {}
+    for a, b in itertools.product(day2, repeat=2):
+        d = store.sum(a, store.conjugate(b))
+        assert _wins(store, store.first_wins_memo, a, b) == brute_wins(store, d, True, memo)
+        assert _wins(store, store.first_wins_memo, b, a) == brute_wins(store, d, False, memo)
