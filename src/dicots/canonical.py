@@ -75,13 +75,15 @@ def reduce_once(store: Store, g: FormId) -> tuple[FormId, ReductionStep] | None:
     memo = store.geq_memo
 
     for a in left:
-        if any(b != a and _geq(store, memo, b, a) for b in left):
-            after = intern(tuple(x for x in left if x != a), right)
-            return after, ReductionStep(StepKind.DOMINATION_L, g, after)
+        for b in left:
+            if b != a and _geq(store, memo, b, a):
+                after = intern(tuple(x for x in left if x != a), right)
+                return after, ReductionStep(StepKind.DOMINATION_L, g, after)
     for a in right:
-        if any(b != a and _geq(store, memo, a, b) for b in right):
-            after = intern(left, tuple(x for x in right if x != a))
-            return after, ReductionStep(StepKind.DOMINATION_R, g, after)
+        for b in right:
+            if b != a and _geq(store, memo, a, b):
+                after = intern(left, tuple(x for x in right if x != a))
+                return after, ReductionStep(StepKind.DOMINATION_R, g, after)
 
     for a in left:
         for b in rights[a]:

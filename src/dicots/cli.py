@@ -147,8 +147,12 @@ def _dispatch(store: Store, args) -> int:
         return 0
 
     if args.file is not None:
-        with open(args.file, encoding="utf-8") as fh:
-            exprs = [line.strip() for line in fh if line.strip()]
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                exprs = [line.strip() for line in fh if line.strip()]
+        except (OSError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
+            return 1
     else:
         exprs = [args.expr]
 

@@ -53,7 +53,8 @@ class UnknownId(ValueError):
 
 
 class BoundExceeded(ValueError):
-    """Raised when enumeration is asked to go beyond its configured bound."""
+    """Raised when enumeration is asked to go beyond its configured bound,
+    or below zero (a negative birthday or sample size)."""
 
 
 class ParseError(ValueError):
@@ -94,6 +95,14 @@ class Store:
     The memo tables are plain dict attributes named ``<name>_memo``, one per
     entry of MEMO_TABLES, keyed by form id (or id pair) and filled by the
     function they memoize, here or in the module that defines it.
+
+    Options are read two ways. The kernels inside the package (the win
+    solver, the order recursions, sums, conjugates, canonicalisation) index
+    ``_lefts`` and ``_rights`` directly and unchecked: they trust the id
+    they are handed, and every id they reach from it is an option of a form
+    in the store. Callers outside the package, and ``reduce_once`` and
+    ``notation``, which walk a caller's form, use the checked ``left`` and
+    ``right``; these raise UnknownId for an id the store does not hold.
     """
 
     def __init__(self):
@@ -247,8 +256,9 @@ class Store:
         memo = self.birthday_memo
         b = memo.get(g)
         if b is None:
-            opts = self._lefts[g] + self._rights[g]
-            b = 1 + max(self.birthday(x) for x in opts) if opts else 0
+            b = 0
+            for x in self._lefts[g] + self._rights[g]:
+                b = max(b, 1 + self.birthday(x))
             memo[g] = b
         return b
 
@@ -275,12 +285,21 @@ class Store:
         return self._nimbers[n]
 
     def nimber_index(self, g: FormId) -> int | None:
-        """n when g is structurally the nimber *n (n <= NIMBER_CAP), else None."""
+        """n when g is structurally the nimber *n (n <= NIMBER_CAP), else None.
+
+        g is *n exactly when its options on both sides are *0, ..., *(n-1).
+        Each is looked up, never interned, so printing leaves the store as
+        it is.
+        """
         l, r = self._lefts[g], self._rights[g]
         if l != r or len(l) > NIMBER_CAP:
             return None
-        n = len(l)
-        return n if self.nimber(n) == g else None
+        prev: tuple[FormId, ...] = ()
+        for x in l:
+            if self._ids.get((prev, prev)) != x:
+                return None
+            prev += (x,)
+        return len(l)
 
     def validate(self) -> None:
         """Check structural invariants of the whole table; raises on damage.
@@ -436,11 +455,12 @@ def enumerate_dicots(
     sample of that many forms instead (a subsequence of the full order);
     with ``limit`` at least the population size, yields everything.
 
-    Raises BoundExceeded when max_birthday exceeds ``bound``. The default
-    bound of 3 is deliberate: day-4 populations are astronomically large.
+    Raises BoundExceeded when max_birthday exceeds ``bound`` or when
+    max_birthday or ``limit`` is negative. The default bound of 3 is
+    deliberate: day-4 populations are astronomically large.
     """
     if max_birthday < 0:
-        raise ValueError("max_birthday must be >= 0")
+        raise BoundExceeded("max_birthday must be >= 0")
     if max_birthday > bound:
         raise BoundExceeded(f"max_birthday {max_birthday} exceeds bound {bound}")
     if limit is not None:
@@ -466,7 +486,7 @@ def enumerate_dicots(
 
 def _sample(store: Store, max_birthday: int, limit: int, bound: int, seed: int):
     if limit < 0:
-        raise ValueError("limit must be >= 0")
+        raise BoundExceeded("limit must be >= 0")
     sizes = _layer_sizes(max_birthday)
     total = sum(sizes)
     if limit >= total:

@@ -59,17 +59,25 @@ def _geq_compute(store: Store, memo: dict, g: FormId, h: FormId) -> bool:
         return False
     lefts, rights = store._lefts, store._rights
     for gr in rights[g]:
-        if any(_geq(store, memo, gr, hr) for hr in rights[h]):
-            continue
-        if any(_geq(store, memo, grl, h) for grl in lefts[gr]):
-            continue
-        return False
+        for hr in rights[h]:
+            if _geq(store, memo, gr, hr):
+                break
+        else:
+            for grl in lefts[gr]:
+                if _geq(store, memo, grl, h):
+                    break
+            else:
+                return False
     for hl in lefts[h]:
-        if any(_geq(store, memo, gl, hl) for gl in lefts[g]):
-            continue
-        if any(_geq(store, memo, g, hlr) for hlr in rights[hl]):
-            continue
-        return False
+        for gl in lefts[g]:
+            if _geq(store, memo, gl, hl):
+                break
+        else:
+            for hlr in rights[hl]:
+                if _geq(store, memo, g, hlr):
+                    break
+            else:
+                return False
     return True
 
 
@@ -89,14 +97,30 @@ def _geq_zero(store: Store, memo: dict, a: FormId, b: FormId) -> bool:
     key = (a, b)
     hit = memo.get(key)
     if hit is None:
-        lefts, rights = store._lefts, store._rights
-        hit = _wins(store, store.first_wins_memo, a, b) and all(
-            any(_geq_zero(store, memo, xl, y) for xl in lefts[x])
-            or any(_geq_zero(store, memo, x, yr) for yr in rights[y])
-            for x, y in [(ar, b) for ar in rights[a]] + [(a, bl) for bl in lefts[b]]
-        )
+        hit = _wins(store, store.first_wins_memo, a, b)
+        if hit:
+            for ar in store._rights[a]:
+                if not _left_answers(store, memo, ar, b):
+                    hit = False
+                    break
+            else:
+                for bl in store._lefts[b]:
+                    if not _left_answers(store, memo, a, bl):
+                        hit = False
+                        break
         memo[key] = hit
     return hit
+
+
+def _left_answers(store: Store, memo: dict, x: FormId, y: FormId) -> bool:
+    """True iff Left has a move from x - y to a difference that is >= 0."""
+    for xl in store._lefts[x]:
+        if _geq_zero(store, memo, xl, y):
+            return True
+    for yr in store._rights[y]:
+        if _geq_zero(store, memo, x, yr):
+            return True
+    return False
 
 
 def eq_zero(store: Store, g: FormId) -> bool:

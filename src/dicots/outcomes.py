@@ -78,11 +78,16 @@ def _wins(store: Store, memo: dict, a: FormId, b: FormId) -> bool:
     hit = memo.get(key)
     if hit is None:
         al, br = store._lefts[a], store._rights[b]
-        hit = (
-            (not al and not br)
-            or any(not _wins(store, memo, b, x) for x in al)
-            or any(not _wins(store, memo, y, a) for y in br)
-        )
+        hit = not al and not br
+        for x in al:
+            if not _wins(store, memo, b, x):
+                hit = True
+                break
+        else:
+            for y in br:
+                if not _wins(store, memo, y, a):
+                    hit = True
+                    break
         memo[key] = hit
     return hit
 

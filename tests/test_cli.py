@@ -152,7 +152,7 @@ def test_batch_file_reports_the_failing_line(capsys, tmp_path):
     assert "line 2:" in err
 
 
-def test_domain_errors_exit_1(capsys):
+def test_domain_errors_exit_1(capsys, tmp_path):
     rc, _, err = run_cli(capsys, "outcome", "{0|}")
     assert rc == 1
     assert err.startswith("error:")
@@ -160,6 +160,19 @@ def test_domain_errors_exit_1(capsys):
     assert rc == 1
     rc, _, err = run_cli(capsys, "enumerate", "--birthday", "9")
     assert rc == 1
+    # Out-of-range numbers and unreadable files: one error line, no traceback.
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes(b"{0|\xe9}\n")
+    for argv in (
+        ["enumerate", "--birthday", "-1"],
+        ["enumerate", "--birthday", "2", "--limit", "-1"],
+        ["outcome", "--file", str(tmp_path / "missing.txt")],
+        ["outcome", "--file", str(tmp_path)],
+        ["outcome", "--file", str(not_utf8)],
+    ):
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (1, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
 def test_usage_errors_exit_2(capsys):

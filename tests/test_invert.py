@@ -9,6 +9,7 @@ from dicots import (
     canonical,
     eq,
     eq_zero,
+    geq,
     inverse,
     is_invertible,
     lemma_check,
@@ -176,3 +177,15 @@ def test_lemma_check_on_the_positive_day2_form(store, day2):
     g = parse(store, "{0,*|*}")
     for h in day2:
         assert lemma_check(store, g, h)
+
+
+def test_deep_chains_stay_within_the_recursion_limit():
+    # g = {...{{0|0}|0}...|0}, 300 deep, interned directly because the
+    # parser recurses once per nesting level on its own. Every chain is
+    # canonical and invertible (checked by both routes up to depth 12).
+    store = Store()
+    g = store.zero
+    for _ in range(300):
+        g = store.intern((g,), (store.zero,))
+    assert oracle_invertible(store, g) is True
+    assert geq(store, g, g) is True
