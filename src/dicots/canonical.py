@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .forms import FormId, Store, notation
+from .forms import FormId, Store, check_id, notation
 from .order import _geq, geq_zero, leq_zero
 from .outcomes import Outcome, outcome
 
@@ -167,7 +167,14 @@ def canonical(store: Store, g: FormId) -> FormId:
     only here: its size counts the root scans canonicalisation made). A
     follower's steps are published before its canonical form, so whoever
     sees the form also finds its steps.
+
+    When every option of g already has its canonical form, so has every
+    proper follower (an option's entry is published only after its own
+    followers'), and g is the one follower left: it is processed alone,
+    without walking or memoizing its followers. The order of work, and so
+    the ids interned and the steps recorded, are those of the full walk.
     """
+    check_id(store, g)
     memo = store.canonical_memo
     got = memo.get(g)
     if got is not None:
@@ -175,7 +182,12 @@ def canonical(store: Store, g: FormId) -> FormId:
     steps_memo = store.canonical_steps_memo
     rewrites = store.rewrite_memo
     lefts, rights = store._lefts, store._rights
-    for f in store.followers(g):
+    todo = (g,)
+    for x in lefts[g] + rights[g]:
+        if x not in memo:
+            todo = store.followers(g)
+            break
+    for f in todo:
         if f in memo:
             continue
         h = store._intern_sorted(

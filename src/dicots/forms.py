@@ -49,7 +49,7 @@ class DicotViolation(ValueError):
 
 
 class UnknownId(ValueError):
-    """Raised when an option id does not name an interned form."""
+    """Raised when an id does not name a form interned in the store at hand."""
 
 
 class BoundExceeded(ValueError):
@@ -80,7 +80,7 @@ MEMO_TABLES = (
     "canonical",
     "canonical_steps",
     "rewrite",
-    "self_pair",
+    "invert",
 )
 
 
@@ -103,6 +103,10 @@ class Store:
     in the store. Callers outside the package, and ``reduce_once`` and
     ``notation``, which walk a caller's form, use the checked ``left`` and
     ``right``; these raise UnknownId for an id the store does not hold.
+    The module-level public functions (``outcome``, ``geq``, ``canonical``,
+    ``is_invertible``, ``notation``, ...) pass each id they are handed
+    through ``check_id``, or first to a public function that does, before
+    any kernel sees it; the methods here do not.
     """
 
     def __init__(self):
@@ -123,7 +127,7 @@ class Store:
         self.canonical_memo: dict = {}
         self.canonical_steps_memo: dict = {}
         self.rewrite_memo: dict = {}
-        self.self_pair_memo: dict = {}
+        self.invert_memo: dict = {}
         self.zero = self.intern((), ())
         self.star = self.intern((self.zero,), (self.zero,))
 
@@ -170,14 +174,12 @@ class Store:
 
     def left(self, g: FormId) -> tuple[FormId, ...]:
         """Left options of g, sorted by id."""
-        if not 0 <= g < len(self._lefts):
-            raise UnknownId(f"form {g!r} is not in this store")
+        check_id(self, g)
         return self._lefts[g]
 
     def right(self, g: FormId) -> tuple[FormId, ...]:
         """Right options of g, sorted by id."""
-        if not 0 <= g < len(self._rights):
-            raise UnknownId(f"form {g!r} is not in this store")
+        check_id(self, g)
         return self._rights[g]
 
     def cache(self, name: str) -> dict:
@@ -319,6 +321,14 @@ class Store:
                 raise ValueError(f"form {gid} has unsorted or duplicated options")
 
 
+def check_id(store: Store, g: object) -> None:
+    """Raise UnknownId unless g is the id of a form in ``store``: a plain
+    int (not a bool) in range. Negative ids are refused, not counted from
+    the end."""
+    if type(g) is not int or not 0 <= g < len(store._lefts):
+        raise UnknownId(f"form {g!r} is not in this store")
+
+
 class _Parser:
     def __init__(self, store: Store, text: str):
         self._store = store
@@ -404,6 +414,7 @@ def notation(store: Store, g: FormId) -> str:
     Nimbers are printed with their shorthand, everything else as braces with
     options in stored (sorted id) order.
     """
+    check_id(store, g)
     if g == store.zero:
         return "0"
     n = store.nimber_index(g)

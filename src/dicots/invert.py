@@ -4,12 +4,17 @@ A form G is invertible when some H sums with it to a form equivalent to 0;
 the only candidate is the conjugate of G, so invertibility is decidable two
 independent ways. ``is_invertible`` uses the structural criterion: after
 canonicalising, G is invertible exactly when no follower G' of the canonical
-form has G' + conjugate(G') as a previous-player win; it builds each such
-sum and asks for its outcome. ``oracle_invertible`` instead asks the order
-machinery directly whether G + conjugate(G) is equivalent to 0, on the
-difference G - G held as the pair (G, G) of ids: it builds no sum and no
-conjugate, so the two routes share only the win solver. They must agree;
-the test suite sweeps that agreement across whole populations.
+form has G' + conjugate(G') as a previous-player win. That self-pair is the
+difference G' - G', decided on the pair (G', G') of ids by the win solver:
+it is its own conjugate, so Left and Right moving first ask the same
+question, and it is P exactly when the mover loses. Canonical forms are
+unique, so the scan is a property of the value: it runs once per canonical
+form and is memoized in the store's ``invert`` table. ``oracle_invertible``
+instead asks the order machinery directly whether G + conjugate(G) is
+equivalent to 0, on the difference G - G held as the pair (G, G) of ids.
+Neither route builds a sum or a conjugate, and the two share only the win
+solver. They must agree; the test suite sweeps that agreement across whole
+populations.
 
 ``lemma_witness`` and ``lemma_check`` exercise the fact that strictly
 positive forms stay non-negative in the presence of any pair H - H: when
@@ -22,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canonical import canonical
-from .forms import FormId, Store, notation
-from .order import OrderResult, _geq_zero, compare, eq_zero
-from .outcomes import Outcome, outcome
+from .forms import FormId, Store, check_id, notation
+from .order import OrderResult, _geq_zero, compare
+from .outcomes import Outcome, _wins
 
 
 class PreconditionViolated(ValueError):
@@ -35,9 +40,12 @@ class PreconditionViolated(ValueError):
 class InvertReport:
     """Everything is_invertible looked at, for auditing.
 
-    ``follower_outcomes`` maps each follower f of the canonical form to the
-    outcome of f + conjugate(f); the verdict is true exactly when no entry
-    is P, and ``witness`` is the least follower breaking it otherwise.
+    ``follower_outcomes`` maps each follower f of the canonical form, in
+    ascending id order, to the outcome of f + conjugate(f): N or P, since
+    the self-pair is its own conjugate. The verdict is true exactly when no
+    entry is P, and ``witness`` is the least follower breaking it otherwise.
+    Every report holds its own copy of the map, so changing it changes no
+    later report.
     """
 
     input: FormId
@@ -48,22 +56,30 @@ class InvertReport:
 
 
 def is_invertible(store: Store, g: FormId) -> InvertReport:
-    """Decide invertibility of g by the follower scan over its canonical form."""
+    """Decide invertibility of g by the follower scan over its canonical form.
+
+    The scan is memoized per canonical form, and each follower's self-pair
+    is decided on the id pair (f, f) without building f + conjugate(f).
+    """
     c = canonical(store, g)
-    pair = store.self_pair_memo
-    follower_outcomes: dict = {}
-    witness = None
-    for f in store.followers(c):
-        o = pair.get(f)
-        if o is None:
-            o = pair[f] = outcome(store, store.sum(f, store.conjugate(f)))
-        follower_outcomes[f] = o
-        if o is Outcome.P and witness is None:
-            witness = f
+    scan = store.invert_memo.get(c)
+    if scan is None:
+        first = store.first_wins_memo
+        follower_outcomes: dict = {}
+        witness = None
+        for f in store.followers(c):
+            if _wins(store, first, f, f):
+                follower_outcomes[f] = Outcome.N
+            else:
+                follower_outcomes[f] = Outcome.P
+                if witness is None:
+                    witness = f
+        scan = store.invert_memo[c] = (follower_outcomes, witness)
+    follower_outcomes, witness = scan
     return InvertReport(
         input=g,
         canonical=c,
-        follower_outcomes=follower_outcomes,
+        follower_outcomes=dict(follower_outcomes),
         verdict=witness is None,
         witness=witness,
     )
@@ -86,6 +102,7 @@ def oracle_invertible(store: Store, g: FormId) -> bool:
     that its conjugate is >= 0, so the <= 0 half of equality with 0 is the
     >= 0 half again: one zero test settles it.
     """
+    check_id(store, g)
     return _geq_zero(store, store.geq_zero_memo, g, g)
 
 
@@ -96,14 +113,18 @@ def lemma_witness(store: Store, h: FormId) -> FormId | None:
     When the pair is a previous-player win, * works: Left entering the pair
     plus * removes the star and wins. Otherwise the pair is a next-player
     win by symmetry, and {0 | {adjoints of all its followers | 0}} works.
+
+    The pair is the difference h - h, its own conjugate: its zero test is
+    the >= 0 half alone and its outcome is P exactly when the mover loses,
+    both decided on the id pair (h, h). Only the N case builds the pair,
+    because the adjoint construction needs its followers.
     """
-    s = store.sum(h, store.conjugate(h))
-    if eq_zero(store, s):
+    check_id(store, h)
+    if _geq_zero(store, store.geq_zero_memo, h, h):
         return None
-    o = outcome(store, s)
-    if o is Outcome.P:
+    if not _wins(store, store.first_wins_memo, h, h):
         return store.star
-    assert o is Outcome.N  # s is its own conjugate, so L and R cannot happen
+    s = store.sum(h, store.conjugate(h))
     adjoints = {store.adjoint(f) for f in store.followers(s)}
     inner = store.intern(adjoints, (store.zero,))
     return store.intern((store.zero,), (inner,))
@@ -112,6 +133,8 @@ def lemma_witness(store: Store, h: FormId) -> FormId | None:
 def lemma_check(store: Store, g: FormId, h: FormId) -> bool:
     """For strictly positive g, report whether g + h - h avoids dropping
     below 0. Raises PreconditionViolated unless compare(g, 0) is GT."""
+    check_id(store, g)
+    check_id(store, h)
     if compare(store, g, store.zero) is not OrderResult.GT:
         raise PreconditionViolated("lemma_check needs g strictly greater than 0")
     total = store.sum(store.sum(g, h), store.conjugate(h))

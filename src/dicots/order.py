@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .forms import FormId, Store
+from .forms import FormId, Store, check_id
 from .outcomes import _wins, outcome, outcome_geq
 
 
@@ -42,6 +42,8 @@ class OrderResult(Enum):
 
 def geq(store: Store, g: FormId, h: FormId) -> bool:
     """True iff g >= h modulo the dicot misere universe."""
+    check_id(store, g)
+    check_id(store, h)
     return _geq(store, store.geq_memo, g, h)
 
 
@@ -84,11 +86,13 @@ def _geq_compute(store: Store, memo: dict, g: FormId, h: FormId) -> bool:
 def geq_zero(store: Store, g: FormId) -> bool:
     """True iff g >= 0: Left wins moving first, and every Right option admits
     a Left response that is again >= 0. Agrees with geq(store, g, zero)."""
+    check_id(store, g)
     return _geq_zero(store, store.geq_zero_memo, g, store.zero)
 
 
 def leq_zero(store: Store, g: FormId) -> bool:
     """True iff g <= 0, that is 0 - g >= 0. Agrees with geq(store, zero, g)."""
+    check_id(store, g)
     return _geq_zero(store, store.geq_zero_memo, store.zero, g)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from .forms import FormId, Store
+from .forms import FormId, Store, check_id
 
 
 class Outcome(Enum):
@@ -57,11 +57,13 @@ def conjugate_outcome(a: Outcome) -> Outcome:
 
 def left_wins_moving_first(store: Store, g: FormId) -> bool:
     """True iff Left, moving first at g, wins with optimal play."""
+    check_id(store, g)
     return _wins(store, store.first_wins_memo, g, store.zero)
 
 
 def right_wins_moving_first(store: Store, g: FormId) -> bool:
     """True iff Right, moving first at g, wins with optimal play."""
+    check_id(store, g)
     return _wins(store, store.first_wins_memo, store.zero, g)
 
 
@@ -94,6 +96,7 @@ def _wins(store: Store, memo: dict, a: FormId, b: FormId) -> bool:
 
 def outcome(store: Store, g: FormId) -> Outcome:
     """Misere outcome of g, memoized on the store."""
+    check_id(store, g)
     memo = store.outcome_memo
     hit = memo.get(g)
     if hit is None:

@@ -35,6 +35,18 @@ def brute_outcome(store: Store, g: FormId, memo: dict) -> Outcome:
     return Outcome.P
 
 
+def structure_key(store: Store, g: FormId, memo: dict) -> tuple:
+    """The option sets of g, recursively, as sorted nested tuples: the same
+    for the same form in any store, whatever ids its history gave it."""
+    got = memo.get(g)
+    if got is None:
+        got = memo[g] = (
+            tuple(sorted(structure_key(store, x, memo) for x in store.left(g))),
+            tuple(sorted(structure_key(store, x, memo) for x in store.right(g))),
+        )
+    return got
+
+
 def day2_by_hand(store: Store) -> dict[str, FormId]:
     """The ten dicots born by day 2, constructed option by option."""
     z = store.zero

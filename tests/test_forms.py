@@ -1,10 +1,12 @@
 """Interning store, structural operations, notation, and enumeration."""
 
+import hashlib
 import itertools
 import threading
 
 import pytest
 
+import dicots
 from dicots import (
     BoundExceeded,
     DicotViolation,
@@ -96,6 +98,46 @@ def test_public_intern_keeps_its_checks_on_a_busy_store():
     store.validate()
 
 
+# Public functions that take form ids, with the number of ids each takes.
+ID_TAKERS = {
+    "outcome": 1,
+    "left_wins_moving_first": 1,
+    "right_wins_moving_first": 1,
+    "geq": 2,
+    "geq_zero": 1,
+    "leq_zero": 1,
+    "eq_zero": 1,
+    "eq": 2,
+    "compare": 2,
+    "canonical": 1,
+    "is_canonical": 1,
+    "explain": 1,
+    "is_invertible": 1,
+    "inverse": 1,
+    "oracle_invertible": 1,
+    "lemma_witness": 1,
+    "lemma_check": 2,
+    "notation": 1,
+}
+
+
+def test_public_functions_refuse_unknown_ids():
+    """-1 would index from the end, len(store) past it, and True hashes as
+    the id 1; each is refused before any table is touched."""
+    store = Store()
+    g = parse(store, "{0,*|*}")  # strictly positive, as lemma_check needs
+    before = store.stats()
+    for name, arity in ID_TAKERS.items():
+        fn = getattr(dicots, name)
+        for bad in (-1, len(store), True):
+            for pos in range(arity):
+                args = [g] * arity
+                args[pos] = bad
+                with pytest.raises(UnknownId):
+                    fn(store, *args)
+    assert store.stats() == before
+
+
 # Memo tables the benchmark reads by name through Store.cache.
 BENCH_TABLES = ("sum", "conjugate", "followers", "first_wins", "geq", "canonical", "canonical_steps")
 
@@ -103,7 +145,8 @@ BENCH_TABLES = ("sum", "conjugate", "followers", "first_wins", "geq", "canonical
 def test_cache_returns_the_attribute_tables():
     store = Store()
     tables = {name: store.cache(name) for name in MEMO_TABLES}
-    is_invertible(store, parse(store, "{0,*,*2|0}"))
+    # The parser builds the sum and the conjugate; is_invertible fills the rest.
+    is_invertible(store, parse(store, "{0,*,*2|0}+-{0|*2}"))
     for name in MEMO_TABLES:
         assert store.cache(name) is tables[name] is getattr(store, f"{name}_memo")
     assert set(BENCH_TABLES) <= set(MEMO_TABLES)
@@ -122,31 +165,39 @@ def test_stats_counts_forms_and_every_memo_table():
     assert stats["forms"] == len(store)
     for name in MEMO_TABLES:
         assert stats[name] == len(store.cache(name))
-    # Deterministic work: g's four followers canonicalised, the three
-    # followers of its canonical form {0,*|0} paired with their conjugates.
+    # Deterministic work: g's four followers canonicalised, one follower
+    # scan over its canonical form {0,*|0}, and no self-pair interned.
     assert stats["canonical"] == stats["canonical_steps"] == len(store.followers(g)) == 4
-    assert stats["self_pair"] == len(store.followers(report.canonical)) == 3
+    assert stats["invert"] == 1
+    assert stats["sum"] == stats["conjugate"] == 0
+    # Another form of the same value reuses the scan.
+    assert is_invertible(store, report.canonical).follower_outcomes == report.follower_outcomes
+    assert store.stats()["invert"] == 1
 
 
 # Store.stats() after the slice in test_work_counts_are_pinned. A memo miss
 # inserts one entry, so these are the work the kernels do; the search order
 # of the win solver, the zero tests, geq and the rewrite scans fixes them.
-# A change to any of those orders must explain its diff here.
+# A change to any of those orders must explain its diff here. The follower
+# scan interns no self-pair sums (sum and conjugate stay empty) and runs
+# once per canonical form (invert); canonical walks the followers only of
+# forms with a non-canonical option, so followers holds just the canonical
+# forms the scan walked.
 PINNED_SLICE_STATS = {
-    "forms": 3051,
-    "sum": 1168,
-    "conjugate": 275,
-    "followers": 474,
+    "forms": 1783,
+    "sum": 0,
+    "conjugate": 0,
+    "followers": 174,
     "birthday": 370,
     "adjoint": 0,
-    "outcome": 688,
-    "first_wins": 4247,
+    "outcome": 547,
+    "first_wins": 3731,
     "geq": 437,
     "geq_zero": 1333,
     "canonical": 310,
     "canonical_steps": 310,
     "rewrite": 1500,
-    "self_pair": 174,
+    "invert": 174,
 }
 
 
@@ -314,6 +365,23 @@ def test_enumeration_is_deterministic_across_stores():
     run_b = [notation(b, g) for g in enumerate_dicots(b, 3, limit=200)]
     assert run_a == run_b
     assert len(set(run_a)) == 200
+
+
+def _notation_digest(store, forms) -> str:
+    return hashlib.sha256("\n".join(notation(store, g) for g in forms).encode()).hexdigest()
+
+
+def test_populations_are_pinned_across_machines():
+    """README: two runs, or two machines, see the same forms in the same
+    order. Pinned as the sha256 of the printed populations, one per line."""
+    s = Store()
+    assert _notation_digest(s, day2_population(s)) == (
+        "21f1f7382c2d4a49dc4aa52954b4b383ba632ec4dccee2ceeb676dd2a342913b"
+    )
+    s = Store()
+    assert _notation_digest(s, day3_sample(s, 300)) == (
+        "d3d26078a8d655babcd08d3f1212b445147c5aee01b0474c16e286a0c90d97e2"
+    )
 
 
 def test_sampling_with_plentiful_limit_is_full_enumeration(store, day2):

@@ -1,5 +1,8 @@
 """Invertibility: structural criterion, direct oracle, and the positivity lemma."""
 
+import sys
+import threading
+
 import pytest
 
 from dicots import (
@@ -21,7 +24,10 @@ from dicots import (
     report_as_dict,
 )
 
-from _oracles import day2_by_hand
+from dicots.outcomes import _wins
+from dicots.selftest import day3_sample
+
+from _oracles import day2_by_hand, structure_key
 
 # Every day-2 form except *2 is invertible (derived, inverse verified by
 # summing back to an eq-0 form).
@@ -92,6 +98,84 @@ def test_report_fields(store):
     assert tuple(report.follower_outcomes) == followers
     assert report.follower_outcomes[store.nimber(2)] is Outcome.P
     assert report.follower_outcomes[store.zero] is Outcome.N
+
+
+def test_pair_outcomes_match_the_built_self_pairs(store, day2, day3_big):
+    """The scan decides f + conjugate(f) on the id pair (f, f); here the sum
+    is built, which also keeps sum and conjugate under test."""
+    for g in day2 + day3_big[:2000]:
+        built = outcome(store, store.sum(g, store.conjugate(g)))
+        assert (Outcome.N if _wins(store, store.first_wins_memo, g, g) else Outcome.P) is built
+        for f, o in is_invertible(store, g).follower_outcomes.items():
+            assert o is outcome(store, store.sum(f, store.conjugate(f)))
+
+
+def test_reports_do_not_share_the_memoized_scan():
+    store = Store()
+    g = parse(store, "{0|*2}")
+    first = is_invertible(store, g)
+    want = dict(first.follower_outcomes)
+    first.follower_outcomes.clear()
+    again = is_invertible(store, g)
+    assert again.follower_outcomes == want
+    again.follower_outcomes[store.zero] = Outcome.P
+    # {0|*2} + 0 is the same value through another form.
+    other = is_invertible(store, parse(store, "{0|*2}+{*|*}"))
+    assert other.canonical == g
+    assert other.follower_outcomes == want
+    assert store.stats()["invert"] == 1
+
+
+def _report_key(store, report, memo):
+    def key(f):
+        return None if f is None else structure_key(store, f, memo)
+
+    return (
+        key(report.input),
+        key(report.canonical),
+        report.verdict,
+        key(report.witness),
+        {key(f): o for f, o in report.follower_outcomes.items()},
+    )
+
+
+def test_concurrent_is_invertible_matches_a_single_thread():
+    """Threads racing through is_invertible on one store, the switch
+    interval forced tiny so they interleave inside the scan, get the
+    reports a single-threaded store gives. Ids of forms interned while
+    racing may differ from that store's, so reports are compared by the
+    structure of their forms."""
+    single = Store()
+    want = [_report_key(single, is_invertible(single, g), {}) for g in day3_sample(single, 400)]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(5):
+            store = Store()
+            forms = day3_sample(store, 400)
+            results: list = [None] * 4
+            errors: list = []
+            barrier = threading.Barrier(4, timeout=60)
+
+            def work(slot: int) -> None:
+                barrier.wait()
+                try:
+                    results[slot] = [is_invertible(store, g) for g in forms]
+                except Exception as exc:  # reported below, with its type
+                    errors.append(repr(exc))
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert all(r == results[0] for r in results)
+            memo: dict = {}
+            assert [_report_key(store, r, memo) for r in results[0]] == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_report_as_dict(store):
