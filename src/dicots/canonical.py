@@ -14,9 +14,13 @@ Three families of rewrites preserve the value of a form while shrinking it:
   through the endgame this way, the whole form collapses to 0.
 
 Applied bottom-up until nothing fires, these rewrites terminate in the
-unique smallest form of each equivalence class. Each application is recorded
-as a ReductionStep, and the full per-form traces are kept on the store so
-``explain`` can replay any form's route to its canonical form.
+unique smallest form of each equivalence class. Because that form is unique,
+``canonical`` keeps only the fixpoint: it drops every dominated option in
+one pass and interns no form per step. ``explain`` records the route on
+demand, one ReductionStep per rewrite, by replaying ``reduce_once`` from
+each follower's canonicalised options; the same domination scan and the
+same reversibility tail serve both, so the trace ends where ``canonical``
+does.
 
 A rewrite that would reproduce the same form (a replacement already present)
 counts as not applicable; the scan simply moves on.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .forms import FormId, Store, check_id, notation
 from .order import _geq, geq_zero, leq_zero
@@ -57,33 +62,35 @@ class ReductionStep:
     after: FormId
 
 
-def reduce_once(store: Store, g: FormId) -> tuple[FormId, ReductionStep] | None:
-    """First applicable rewrite of g at the root, or None when none applies.
+def _drops(store: Store, opts: tuple[FormId, ...], left: bool) -> Iterator[FormId]:
+    """The options of one side that domination drops, in step order.
 
-    Each rewrite preserves the value of g whatever its options are;
-    `canonical` canonicalises every proper follower first (bottom-up), which
-    is what makes its fixpoint the canonical form. The scan order is fixed
-    so traces reproduce: domination (Left then Right), reversibility with
-    replacements (Left then Right), reversibility through the endgame (Left
-    then Right), then the two-singleton collapse to 0; candidates are tried
-    in stored (ascending id) order.
+    Candidates are tried in ascending id order, each against the options
+    still kept, and the first sibling found at least as good for the side's
+    player (>= it for Left, <= it for Right) decides the drop. Taking the
+    first drop is one rewrite step; taking them all is every domination
+    step on that side, because a drop never makes an earlier candidate
+    dominated.
     """
-    left, right = store.left(g), store.right(g)
+    memo = store.geq_memo
+    kept = list(opts)
+    for a in opts:
+        for b in kept:
+            if b != a and (_geq(store, memo, b, a) if left else _geq(store, memo, a, b)):
+                kept.remove(a)
+                yield a
+                break
+
+
+def _reverse(store: Store, g: FormId) -> tuple[FormId, StepKind] | None:
+    """First applicable reversibility rewrite of g at the root, with its
+    kind, or None: with replacements (Left then Right), through the endgame
+    (Left then Right), then the two-singleton collapse to 0."""
     lefts, rights = store._lefts, store._rights
+    left, right = lefts[g], rights[g]
     zero, star = store.zero, store.star
     intern = store._intern_sorted
     memo = store.geq_memo
-
-    for a in left:
-        for b in left:
-            if b != a and _geq(store, memo, b, a):
-                after = intern(tuple(x for x in left if x != a), right)
-                return after, ReductionStep(StepKind.DOMINATION_L, g, after)
-    for a in right:
-        for b in right:
-            if b != a and _geq(store, memo, a, b):
-                after = intern(left, tuple(x for x in right if x != a))
-                return after, ReductionStep(StepKind.DOMINATION_R, g, after)
 
     for a in left:
         for b in rights[a]:
@@ -93,7 +100,7 @@ def reduce_once(store: Store, g: FormId) -> tuple[FormId, ReductionStep] | None:
                 repl.update(lefts[b])
                 after = intern(tuple(sorted(repl)), right)
                 if after != g:
-                    return after, ReductionStep(StepKind.NON_ATOMIC_REVERSE_L, g, after)
+                    return after, StepKind.NON_ATOMIC_REVERSE_L
     for a in right:
         for b in lefts[a]:
             if rights[b] and _geq(store, memo, b, g):
@@ -102,7 +109,7 @@ def reduce_once(store: Store, g: FormId) -> tuple[FormId, ReductionStep] | None:
                 repl.update(rights[b])
                 after = intern(left, tuple(sorted(repl)))
                 if after != g:
-                    return after, ReductionStep(StepKind.NON_ATOMIC_REVERSE_R, g, after)
+                    return after, StepKind.NON_ATOMIC_REVERSE_R
 
     # Reversibility through the endgame. In a dicot store the endgame is the
     # only form without Left options, so "A reverses through an option-less
@@ -114,7 +121,7 @@ def reduce_once(store: Store, g: FormId) -> tuple[FormId, ReductionStep] | None:
                 continue
             if any(c != a for c in winners):
                 after = intern(tuple(x for x in left if x != a), right)
-                return after, ReductionStep(StepKind.ATOMIC_REVERSE_DROP_L, g, after)
+                return after, StepKind.ATOMIC_REVERSE_DROP_L
             # g >= 0 guarantees Left a winning first move, so the unique
             # winner must be a itself: bypassing it still leaves *.
             assert winners == [a]
@@ -123,7 +130,7 @@ def reduce_once(store: Store, g: FormId) -> tuple[FormId, ReductionStep] | None:
             repl.add(star)
             after = intern(tuple(sorted(repl)), right)
             if after != g:
-                return after, ReductionStep(StepKind.ATOMIC_REVERSE_STAR_L, g, after)
+                return after, StepKind.ATOMIC_REVERSE_STAR_L
     if leq_zero(store, g):
         winners = [c for c in right if outcome(store, c) in (Outcome.R, Outcome.P)]
         for a in right:
@@ -131,14 +138,14 @@ def reduce_once(store: Store, g: FormId) -> tuple[FormId, ReductionStep] | None:
                 continue
             if any(c != a for c in winners):
                 after = intern(left, tuple(x for x in right if x != a))
-                return after, ReductionStep(StepKind.ATOMIC_REVERSE_DROP_R, g, after)
+                return after, StepKind.ATOMIC_REVERSE_DROP_R
             assert winners == [a]
             repl = set(right)
             repl.discard(a)
             repl.add(star)
             after = intern(left, tuple(sorted(repl)))
             if after != g:
-                return after, ReductionStep(StepKind.ATOMIC_REVERSE_STAR_R, g, after)
+                return after, StepKind.ATOMIC_REVERSE_STAR_R
 
     if len(left) == 1 and len(right) == 1:
         a, c = left[0], right[0]
@@ -148,9 +155,73 @@ def reduce_once(store: Store, g: FormId) -> tuple[FormId, ReductionStep] | None:
             and geq_zero(store, g)
             and leq_zero(store, g)
         ):
-            return zero, ReductionStep(StepKind.SUBSTITUTION, g, zero)
+            return zero, StepKind.SUBSTITUTION
 
     return None
+
+
+def reduce_once(store: Store, g: FormId) -> tuple[FormId, ReductionStep] | None:
+    """First applicable rewrite of g at the root, or None when none applies.
+
+    Each rewrite preserves the value of g whatever its options are;
+    `canonical` canonicalises every proper follower first (bottom-up), which
+    is what makes its fixpoint the canonical form. The scan order is fixed
+    so traces reproduce: domination (Left then Right), reversibility with
+    replacements (Left then Right), reversibility through the endgame (Left
+    then Right), then the two-singleton collapse to 0; candidates are tried
+    in stored (ascending id) order. `canonical` reaches the same fixpoint
+    without interning a form per step; `explain` replays this function to
+    record the steps.
+    """
+    left, right = store.left(g), store.right(g)
+    intern = store._intern_sorted
+    a = next(_drops(store, left, True), None)
+    if a is not None:
+        after = intern(tuple(x for x in left if x != a), right)
+        return after, ReductionStep(StepKind.DOMINATION_L, g, after)
+    a = next(_drops(store, right, False), None)
+    if a is not None:
+        after = intern(left, tuple(x for x in right if x != a))
+        return after, ReductionStep(StepKind.DOMINATION_R, g, after)
+    hit = _reverse(store, g)
+    if hit is None:
+        return None
+    after, kind = hit
+    return after, ReductionStep(kind, g, after)
+
+
+def _fixpoint(store: Store, left: tuple[FormId, ...], right: tuple[FormId, ...]) -> FormId:
+    """The form reduce_once reaches from the form with options (left, right),
+    every one of them canonical, without interning the forms in between.
+
+    Each round drops every dominated option at once (Left, then Right) and
+    interns only the form left over, which the reversibility tests take as
+    an id; a reversal's result starts the next round.
+    """
+    lefts, rights = store._lefts, store._rights
+    while True:
+        dropped = set(_drops(store, left, True))
+        if dropped:
+            left = tuple(x for x in left if x not in dropped)
+        dropped = set(_drops(store, right, False))
+        if dropped:
+            right = tuple(x for x in right if x not in dropped)
+        g = store._intern_sorted(left, right)
+        hit = _reverse(store, g)
+        if hit is None:
+            return g
+        g = hit[0]
+        left, right = lefts[g], rights[g]
+
+
+def _canonical_options(store: Store, f: FormId) -> tuple[tuple[FormId, ...], tuple[FormId, ...]]:
+    """f's option sets with every option replaced by its canonical form;
+    each option's canonical form must be in the memo already."""
+    memo = store.canonical_memo
+    return (
+        tuple(sorted({memo[x] for x in store._lefts[f]})),
+        tuple(sorted({memo[x] for x in store._rights[f]})),
+    )
 
 
 def canonical(store: Store, g: FormId) -> FormId:
@@ -158,28 +229,27 @@ def canonical(store: Store, g: FormId) -> FormId:
 
     Works bottom-up over g's followers in ascending id order (every option
     is older than its form, so options come first): replace every option by
-    its canonical form, then rewrite at the root to a fixpoint. The steps
-    applied at each follower are recorded for ``explain``.
+    its canonical form, then rewrite at the root to a fixpoint. Canonical
+    forms are unique, so only the fixpoint is kept: dominated options are
+    dropped all at once, and no form is interned for a step on the way
+    (``explain`` replays the steps when asked).
 
-    The root rewrite of a form depends on that form alone, and different
-    followers often pass through the same intermediate forms, so inside the
-    fixpoint it is memoized per form in the store's ``rewrite`` table (filled
-    only here: its size counts the root scans canonicalisation made). A
-    follower's steps are published before its canonical form, so whoever
-    sees the form also finds its steps.
+    Followers with the same canonicalised options, such as forms of one
+    value built differently, share the fixpoint: it is memoized per option
+    pair in the store's ``rewrite`` table (filled only here: its size counts
+    the fixpoints canonicalisation computed).
 
     When every option of g already has its canonical form, so has every
     proper follower (an option's entry is published only after its own
     followers'), and g is the one follower left: it is processed alone,
     without walking or memoizing its followers. The order of work, and so
-    the ids interned and the steps recorded, are those of the full walk.
+    the ids interned, are those of the full walk.
     """
     check_id(store, g)
     memo = store.canonical_memo
     got = memo.get(g)
     if got is not None:
         return got
-    steps_memo = store.canonical_steps_memo
     rewrites = store.rewrite_memo
     lefts, rights = store._lefts, store._rights
     todo = (g,)
@@ -190,22 +260,11 @@ def canonical(store: Store, g: FormId) -> FormId:
     for f in todo:
         if f in memo:
             continue
-        h = store._intern_sorted(
-            tuple(sorted({memo[x] for x in lefts[f]})),
-            tuple(sorted({memo[x] for x in rights[f]})),
-        )
-        steps = []
-        while True:
-            if h in rewrites:
-                hit = rewrites[h]
-            else:
-                hit = rewrites[h] = reduce_once(store, h)
-            if hit is None:
-                break
-            h, step = hit
-            steps.append(step)
-        steps_memo[f] = tuple(steps)
-        memo[f] = h
+        key = _canonical_options(store, f)
+        c = rewrites.get(key)
+        if c is None:
+            c = rewrites[key] = _fixpoint(store, *key)
+        memo[f] = c
     return memo[g]
 
 
@@ -220,13 +279,31 @@ def explain(store: Store, g: FormId) -> list[ReductionStep]:
     Steps for deeper followers come first. Replaying the steps in order as
     global rewrites (replace each step's ``before`` by its ``after``
     everywhere) transforms g into canonical(store, g).
+
+    A follower's steps are recorded on the first ``explain`` that reaches
+    it, in the store's ``canonical_steps`` table, by applying reduce_once
+    from the form with its canonicalised options until nothing fires; this
+    interns the forms in between, which ``canonical`` skips.
     """
     canonical(store, g)
     steps_memo = store.canonical_steps_memo
     out: list[ReductionStep] = []
     for f in sorted(store.followers(g), key=lambda x: (store.birthday(x), x)):
-        out.extend(steps_memo[f])
+        steps = steps_memo.get(f)
+        if steps is None:
+            steps = steps_memo[f] = _replay(store, f)
+        out.extend(steps)
     return out
+
+
+def _replay(store: Store, f: FormId) -> tuple[ReductionStep, ...]:
+    """The reduce_once steps from f's canonicalised options to the fixpoint."""
+    steps = []
+    hit = reduce_once(store, store._intern_sorted(*_canonical_options(store, f)))
+    while hit is not None:
+        steps.append(hit[1])
+        hit = reduce_once(store, hit[0])
+    return tuple(steps)
 
 
 def step_as_dict(store: Store, step: ReductionStep) -> dict:

@@ -8,9 +8,14 @@ Examples::
     dicots invertible "{0|*2}" --report --format json
     dicots enumerate --birthday 2 --canonical-only
     dicots selftest --level quick
+    dicots outcome "*2+*2" --stats
 
 Expressions beginning with '-' (a conjugate at top level) need a '--'
 separator first, as usual: ``dicots outcome -- "-{0|*}"``.
+
+``--stats`` on any verb writes one JSON line to stderr after the verb has
+run: the verb, its wall seconds and ``Store.stats()``. Stdout is the same
+with or without it.
 
 Exit status: 0 on success, 1 on domain errors (bad notation, one-sided
 forms, failed selftest) reported on stderr, 2 on usage errors.
@@ -21,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .canonical import canonical, explain, is_canonical, step_as_dict
 from .forms import (
@@ -64,6 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="output format (default text)",
+    )
+    common.add_argument(
+        "--stats",
+        action="store_true",
+        help="write store sizes and wall seconds to stderr as one JSON line",
     )
     p = argparse.ArgumentParser(
         prog="dicots",
@@ -116,12 +127,18 @@ def main(argv: list[str] | None = None) -> int:
         has_file = args.file is not None
         if has_expr == has_file:
             parser.error(f"{args.verb} needs exactly one of an expression or --file")
+    t0 = time.perf_counter()
     store = Store()
     try:
         return _dispatch(store, args)
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if args.stats:
+            wall = time.perf_counter() - t0
+            doc = {"verb": args.verb, "wall_s": wall, "stats": store.stats()}
+            print(json.dumps(doc), file=sys.stderr)
 
 
 def console_main() -> None:

@@ -254,27 +254,62 @@ class Store:
         return a
 
     def birthday(self, g: FormId) -> int:
-        """Height of the game tree: 0 for the endgame, else 1 + max over options."""
+        """Height of the game tree: 0 for the endgame, else 1 + max over options.
+
+        Computed post-order on an explicit stack, so deep forms need no deep
+        Python recursion; every follower reached without an entry gets one.
+        """
         memo = self.birthday_memo
         b = memo.get(g)
-        if b is None:
+        if b is not None:
+            return b
+        lefts, rights = self._lefts, self._rights
+        stack = [g]
+        while stack:
+            x = stack[-1]
+            if x in memo:  # pushed twice, and done since
+                stack.pop()
+                continue
             b = 0
-            for x in self._lefts[g] + self._rights[g]:
-                b = max(b, 1 + self.birthday(x))
-            memo[g] = b
-        return b
+            for o in lefts[x] + rights[x]:
+                ob = memo.get(o)
+                if ob is None:
+                    stack.append(o)
+                elif ob >= b:
+                    b = ob + 1
+            if stack[-1] == x:
+                memo[x] = b
+                stack.pop()
+        return memo[g]
 
     def followers(self, g: FormId) -> tuple[FormId, ...]:
-        """All positions reachable by any sequence of moves, g included, sorted by id."""
+        """All positions reachable by any sequence of moves, g included, sorted by id.
+
+        Computed post-order on an explicit stack, so deep forms need no deep
+        Python recursion; every follower reached without an entry gets one.
+        """
         memo = self.followers_memo
         f = memo.get(g)
-        if f is None:
-            acc = {g}
-            for o in self._lefts[g] + self._rights[g]:
-                acc.update(self.followers(o))
-            f = tuple(sorted(acc))
-            memo[g] = f
-        return f
+        if f is not None:
+            return f
+        lefts, rights = self._lefts, self._rights
+        stack = [g]
+        while stack:
+            x = stack[-1]
+            if x in memo:  # pushed twice, and done since
+                stack.pop()
+                continue
+            options = lefts[x] + rights[x]
+            for o in options:
+                if o not in memo:
+                    stack.append(o)
+            if stack[-1] == x:
+                acc = {x}
+                for o in options:
+                    acc.update(memo[o])
+                memo[x] = tuple(sorted(acc))
+                stack.pop()
+        return memo[g]
 
     def nimber(self, n: int) -> FormId:
         """The nimber *n; *0 is the endgame and *1 is star."""

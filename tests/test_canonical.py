@@ -113,7 +113,8 @@ def test_reduce_once_ignores_the_rewrite_memo():
     hit = reduce_once(store, g)
     assert hit is not None
     assert store.rewrite_memo == {}
-    store.rewrite_memo[g] = None  # a memo entry claiming nothing applies
+    # A memo entry claiming g's option pair is its own fixpoint.
+    store.rewrite_memo[(store.left(g), store.right(g))] = g
     assert reduce_once(store, g) == hit
     assert eq(store, g, hit[0])
 
@@ -170,6 +171,51 @@ def test_trace_replay_reaches_the_canonical_form(store, day2, day3_big):
         states = assert_replay_reaches_canonical(store, g)
         for a, b in zip(states, states[1:]):
             assert eq(store, a, b)
+
+
+def test_explain_replays_each_follower_to_its_canonical_form(store, day2, day3_big):
+    """Every follower's recorded steps form one chain from the form with its
+    canonicalised options to the form canonical reached without them."""
+    for g in day2 + day3_big[:2000]:
+        explain(store, g)
+        for f in store.followers(g):
+            h = store.intern(
+                [canonical(store, x) for x in store.left(f)],
+                [canonical(store, x) for x in store.right(f)],
+            )
+            for step in store.canonical_steps_memo[f]:
+                assert step.before == h
+                h = step.after
+            assert h == canonical(store, f)
+
+
+def test_canonical_alone_records_no_traces():
+    store = Store()
+    for g in day2_population(store) + day3_sample(store, 300):
+        canonical(store, g)
+    assert store.canonical_memo
+    assert store.canonical_steps_memo == {}
+
+
+def test_canonical_interns_no_form_between_steps():
+    """Two rewrites reduce {{*|*},{0,*|*}|0}: its options canonicalise to 0
+    and {0,*|*}, which dominates 0, and {{0,*|*}|0} reverses to *. When the
+    form left after domination and * exist already, canonical interns
+    nothing; only explain interns the dominated form {0,{0,*|*}|0} its trace
+    starts from."""
+    store = Store()
+    g = parse(store, "{{*|*},{0,*|*}|0}")
+    parse(store, "{{0,*|*}|0}")
+    n = len(store)
+    assert canonical(store, g) == store.star
+    assert len(store) == n
+    steps = [(s.kind.value, notation(store, s.before)) for s in explain(store, g)]
+    assert steps == [
+        ("Substitution", "{*|*}"),
+        ("DominationL", "{0,{0,*|*}|0}"),
+        ("NonAtomicReverseL", "{{0,*|*}|0}"),
+    ]
+    assert len(store) == n + 1
 
 
 def test_step_as_dict(store):

@@ -1,10 +1,12 @@
 """Command line behavior: exact output, formats, batching, exit codes."""
 
 import json
+import re
 
 import pytest
 
 from dicots.cli import main
+from dicots.forms import MEMO_TABLES
 
 DAY2_CANONICAL_NOTATIONS = [
     "0",
@@ -202,3 +204,40 @@ def test_selftest_quick_json(capsys):
     names = [r["name"] for r in doc["result"]]
     assert names[0] == "reference-positions"
     assert all(r["passed"] for r in doc["result"])
+
+
+# One invocation per verb, and one that ends in a domain error.
+STATS_ARGV = [
+    ["outcome", "*2+*2"],
+    ["canonical", "{0,*,*2|0}", "--trace"],
+    ["invertible", "--report", "--format", "json", "{0|*2}"],
+    ["inverse", "*2"],
+    ["adjoint", "*"],
+    ["followers", "{0|*2}"],
+    ["witness", "*2"],
+    ["compare", "*+*", "0"],
+    ["enumerate", "--birthday", "2", "--canonical-only"],
+    ["selftest", "--level", "quick"],
+    ["outcome", "{0|}"],
+]
+
+
+def untimed(text):
+    """Text output with selftest's per-check seconds, which vary, cut out."""
+    return re.sub(r"\(\d+\.\ds, ", "(", text)
+
+
+@pytest.mark.parametrize("argv", STATS_ARGV, ids=lambda argv: " ".join(argv))
+def test_stats_flag_adds_one_json_line_to_stderr(capsys, argv):
+    plain = run_cli(capsys, *argv)
+    rc, out, err = run_cli(capsys, *argv, "--stats")
+    assert (rc, untimed(out)) == (plain[0], untimed(plain[1]))
+    assert err.startswith(plain[2])
+    line = err[len(plain[2]) :]
+    assert line.endswith("\n") and line.count("\n") == 1
+    doc = json.loads(line)
+    assert list(doc) == ["verb", "wall_s", "stats"]
+    assert doc["verb"] == argv[0]
+    assert doc["wall_s"] >= 0
+    assert list(doc["stats"]) == ["forms", *MEMO_TABLES]
+    assert doc["stats"]["forms"] >= 2

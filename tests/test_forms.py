@@ -16,6 +16,7 @@ from dicots import (
     UnknownId,
     canonical,
     enumerate_dicots,
+    explain,
     is_invertible,
     notation,
     oracle_invertible,
@@ -145,8 +146,11 @@ BENCH_TABLES = ("sum", "conjugate", "followers", "first_wins", "geq", "canonical
 def test_cache_returns_the_attribute_tables():
     store = Store()
     tables = {name: store.cache(name) for name in MEMO_TABLES}
-    # The parser builds the sum and the conjugate; is_invertible fills the rest.
-    is_invertible(store, parse(store, "{0,*,*2|0}+-{0|*2}"))
+    # The parser builds the sum and the conjugate; is_invertible fills the
+    # rest but the traces, which only explain records.
+    g = parse(store, "{0,*,*2|0}+-{0|*2}")
+    is_invertible(store, g)
+    explain(store, g)
     for name in MEMO_TABLES:
         assert store.cache(name) is tables[name] is getattr(store, f"{name}_memo")
     assert set(BENCH_TABLES) <= set(MEMO_TABLES)
@@ -166,13 +170,17 @@ def test_stats_counts_forms_and_every_memo_table():
     for name in MEMO_TABLES:
         assert stats[name] == len(store.cache(name))
     # Deterministic work: g's four followers canonicalised, one follower
-    # scan over its canonical form {0,*|0}, and no self-pair interned.
-    assert stats["canonical"] == stats["canonical_steps"] == len(store.followers(g)) == 4
+    # scan over its canonical form {0,*|0}, no self-pair interned, and no
+    # trace recorded until explain asks for one per follower.
+    assert stats["canonical"] == len(store.followers(g)) == 4
+    assert stats["canonical_steps"] == 0
     assert stats["invert"] == 1
     assert stats["sum"] == stats["conjugate"] == 0
     # Another form of the same value reuses the scan.
     assert is_invertible(store, report.canonical).follower_outcomes == report.follower_outcomes
     assert store.stats()["invert"] == 1
+    explain(store, g)
+    assert store.stats()["canonical_steps"] == 4
 
 
 # Store.stats() after the slice in test_work_counts_are_pinned. A memo miss
@@ -182,9 +190,11 @@ def test_stats_counts_forms_and_every_memo_table():
 # scan interns no self-pair sums (sum and conjugate stay empty) and runs
 # once per canonical form (invert); canonical walks the followers only of
 # forms with a non-canonical option, so followers holds just the canonical
-# forms the scan walked.
+# forms the scan walked. canonical interns no form per rewrite step and
+# records no trace (canonical_steps stays empty until explain), and its
+# fixpoint runs once per canonicalised option pair (rewrite).
 PINNED_SLICE_STATS = {
-    "forms": 1783,
+    "forms": 616,
     "sum": 0,
     "conjugate": 0,
     "followers": 174,
@@ -195,8 +205,8 @@ PINNED_SLICE_STATS = {
     "geq": 437,
     "geq_zero": 1333,
     "canonical": 310,
-    "canonical_steps": 310,
-    "rewrite": 1500,
+    "canonical_steps": 0,
+    "rewrite": 310,
     "invert": 174,
 }
 
@@ -209,6 +219,19 @@ def test_work_counts_are_pinned():
         is_invertible(store, g)
         oracle_invertible(store, g)
     assert store.stats() == PINNED_SLICE_STATS
+
+
+def test_followers_and_birthday_take_deep_forms():
+    """Both walk a 5,000-deep chain {...{{0|0}|0}...|0} without recursing,
+    and fill an entry for every form on it: the chain is the whole store,
+    its first link being * (id 1)."""
+    store = Store()
+    g = store.zero
+    for _ in range(5000):
+        g = store.intern((g,), (store.zero,))
+    assert store.birthday(g) == 5000
+    assert store.followers(g) == tuple(range(len(store)))
+    assert len(store.birthday_memo) == len(store.followers_memo) == 5001
 
 
 def test_conjugate_swaps_players_and_is_an_involution(store, day2):
