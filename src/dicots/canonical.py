@@ -234,10 +234,11 @@ def canonical(store: Store, g: FormId) -> FormId:
     dropped all at once, and no form is interned for a step on the way
     (``explain`` replays the steps when asked).
 
-    Followers with the same canonicalised options, such as forms of one
-    value built differently, share the fixpoint: it is memoized per option
-    pair in the store's ``rewrite`` table (filled only here: its size counts
-    the fixpoints canonicalisation computed).
+    Followers whose options canonicalise alike share the fixpoint: it is
+    memoized per canonicalised option pair in the store's ``rewrite`` table
+    (filled only here: its size counts the fixpoints canonicalisation
+    computed). A row of the day-3 census, where many options are
+    non-canonical forms of one value, finds about half its followers there.
 
     When every option of g already has its canonical form, so has every
     proper follower (an option's entry is published only after its own
@@ -283,7 +284,8 @@ def explain(store: Store, g: FormId) -> list[ReductionStep]:
     A follower's steps are recorded on the first ``explain`` that reaches
     it, in the store's ``canonical_steps`` table, by applying reduce_once
     from the form with its canonicalised options until nothing fires; this
-    interns the forms in between, which ``canonical`` skips.
+    interns the forms in between, which ``canonical`` skips. A follower's
+    first trace so costs its fixpoint and then its replay.
     """
     canonical(store, g)
     steps_memo = store.canonical_steps_memo
@@ -297,13 +299,25 @@ def explain(store: Store, g: FormId) -> list[ReductionStep]:
 
 
 def _replay(store: Store, f: FormId) -> tuple[ReductionStep, ...]:
-    """The reduce_once steps from f's canonicalised options to the fixpoint."""
+    """The reduce_once steps from f's canonicalised options to the fixpoint.
+
+    Followers often pass through the same intermediate forms, so the root
+    rewrite of each form on the way is memoized in the store's ``replay``
+    table (filled only here: its size counts the root scans the traces
+    made).
+    """
+    replays = store.replay_memo
     steps = []
-    hit = reduce_once(store, store._intern_sorted(*_canonical_options(store, f)))
-    while hit is not None:
-        steps.append(hit[1])
-        hit = reduce_once(store, hit[0])
-    return tuple(steps)
+    h = store._intern_sorted(*_canonical_options(store, f))
+    while True:
+        if h in replays:
+            hit = replays[h]
+        else:
+            hit = replays[h] = reduce_once(store, h)
+        if hit is None:
+            return tuple(steps)
+        h, step = hit
+        steps.append(step)
 
 
 def step_as_dict(store: Store, step: ReductionStep) -> dict:

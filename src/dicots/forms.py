@@ -80,6 +80,7 @@ MEMO_TABLES = (
     "canonical",
     "canonical_steps",
     "rewrite",
+    "replay",
     "invert",
 )
 
@@ -127,6 +128,7 @@ class Store:
         self.canonical_memo: dict = {}
         self.canonical_steps_memo: dict = {}
         self.rewrite_memo: dict = {}
+        self.replay_memo: dict = {}
         self.invert_memo: dict = {}
         self.zero = self.intern((), ())
         self.star = self.intern((self.zero,), (self.zero,))

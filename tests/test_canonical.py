@@ -105,16 +105,18 @@ def test_reduce_once_preserves_value_even_with_raw_options(store, day3_big):
 
 
 def test_reduce_once_ignores_the_rewrite_memo():
-    """The rewrite memo belongs to canonical's fixpoint loop, where every
-    proper follower is canonical; the public reduce_once neither reads nor
-    fills it."""
+    """The rewrite memo belongs to canonical's fixpoint loop and the replay
+    memo to explain, where every proper follower is canonical; the public
+    reduce_once neither reads nor fills them."""
     store = Store()
     g = parse(store, "{{*|*}|{*|*}}")
     hit = reduce_once(store, g)
     assert hit is not None
-    assert store.rewrite_memo == {}
-    # A memo entry claiming g's option pair is its own fixpoint.
+    assert store.rewrite_memo == store.replay_memo == {}
+    # Memo entries claiming g's option pair is its own fixpoint, and that no
+    # rewrite applies to g.
     store.rewrite_memo[(store.left(g), store.right(g))] = g
+    store.replay_memo[g] = None
     assert reduce_once(store, g) == hit
     assert eq(store, g, hit[0])
 
@@ -194,7 +196,7 @@ def test_canonical_alone_records_no_traces():
     for g in day2_population(store) + day3_sample(store, 300):
         canonical(store, g)
     assert store.canonical_memo
-    assert store.canonical_steps_memo == {}
+    assert store.canonical_steps_memo == store.replay_memo == {}
 
 
 def test_canonical_interns_no_form_between_steps():

@@ -179,8 +179,13 @@ def test_stats_counts_forms_and_every_memo_table():
     # Another form of the same value reuses the scan.
     assert is_invertible(store, report.canonical).follower_outcomes == report.follower_outcomes
     assert store.stats()["invert"] == 1
+    assert stats["replay"] == 0
+    # explain records one trace per follower; its replay scans the root of
+    # each form on the way once: the four canonicalised followers, and {0,*|0},
+    # which g's one step ({0,*,*2|0} reverses to it) reaches.
     explain(store, g)
     assert store.stats()["canonical_steps"] == 4
+    assert store.stats()["replay"] == 5
 
 
 # Store.stats() after the slice in test_work_counts_are_pinned. A memo miss
@@ -191,8 +196,8 @@ def test_stats_counts_forms_and_every_memo_table():
 # once per canonical form (invert); canonical walks the followers only of
 # forms with a non-canonical option, so followers holds just the canonical
 # forms the scan walked. canonical interns no form per rewrite step and
-# records no trace (canonical_steps stays empty until explain), and its
-# fixpoint runs once per canonicalised option pair (rewrite).
+# records no trace (canonical_steps and replay stay empty until explain),
+# and its fixpoint runs once per canonicalised option pair (rewrite).
 PINNED_SLICE_STATS = {
     "forms": 616,
     "sum": 0,
@@ -207,6 +212,7 @@ PINNED_SLICE_STATS = {
     "canonical": 310,
     "canonical_steps": 0,
     "rewrite": 310,
+    "replay": 0,
     "invert": 174,
 }
 
@@ -222,16 +228,16 @@ def test_work_counts_are_pinned():
 
 
 def test_followers_and_birthday_take_deep_forms():
-    """Both walk a 5,000-deep chain {...{{0|0}|0}...|0} without recursing,
-    and fill an entry for every form on it: the chain is the whole store,
-    its first link being * (id 1)."""
+    """Both walk a 5,000-deep chain {...{{0|0}|0}...|0} without recursing:
+    the chain is the whole store, its first link being * (id 1). Which memo
+    entries the walks fill is pinned on the slice in
+    test_work_counts_are_pinned, not here."""
     store = Store()
     g = store.zero
     for _ in range(5000):
         g = store.intern((g,), (store.zero,))
     assert store.birthday(g) == 5000
     assert store.followers(g) == tuple(range(len(store)))
-    assert len(store.birthday_memo) == len(store.followers_memo) == 5001
 
 
 def test_conjugate_swaps_players_and_is_an_involution(store, day2):
