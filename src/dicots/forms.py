@@ -79,6 +79,7 @@ MEMO_TABLES = (
     "geq_zero",
     "canonical",
     "canonical_steps",
+    "kept",
     "rewrite",
     "replay",
     "invert",
@@ -127,6 +128,7 @@ class Store:
         self.geq_zero_memo: dict = {}
         self.canonical_memo: dict = {}
         self.canonical_steps_memo: dict = {}
+        self.kept_memo: dict = {}
         self.rewrite_memo: dict = {}
         self.replay_memo: dict = {}
         self.invert_memo: dict = {}
@@ -200,18 +202,44 @@ class Store:
             out[name] = len(self.cache(name))
         return out
 
+    def _post_order(self, memo: dict, g: FormId, build) -> None:
+        """Give g and every follower it reaches without an entry in ``memo``
+        one, calling ``build(x)`` (which stores x's entry) once every option
+        of x has its own. Options are visited one at a time, Right then Left
+        in stored order, so forms are built in the order a recursion over
+        them would build them; the walk is on an explicit stack, so deep
+        forms need no deep Python recursion."""
+        lefts, rights = self._lefts, self._rights
+        stack = [g]
+        while stack:
+            x = stack[-1]
+            if x in memo:  # pushed twice, and done since
+                stack.pop()
+                continue
+            missing = [o for o in rights[x] + lefts[x] if o not in memo]
+            if missing:
+                stack.extend(reversed(missing))
+            else:
+                build(x)
+                stack.pop()
+
     def conjugate(self, g: FormId) -> FormId:
         """Swap the players everywhere. An involution."""
         memo = self.conjugate_memo
         c = memo.get(g)
         if c is None:
-            conj = self.conjugate
-            c = self._intern_sorted(
-                tuple(sorted([conj(x) for x in self._rights[g]])),
-                tuple(sorted([conj(x) for x in self._lefts[g]])),
-            )
-            memo[g] = c
-            memo[c] = g
+            lefts, rights = self._lefts, self._rights
+
+            def build(x: FormId) -> None:
+                c = self._intern_sorted(
+                    tuple(sorted([memo[o] for o in rights[x]])),
+                    tuple(sorted([memo[o] for o in lefts[x]])),
+                )
+                memo[x] = c
+                memo[c] = x
+
+            self._post_order(memo, g, build)
+            c = memo[g]
         return c
 
     def sum(self, g: FormId, h: FormId) -> FormId:
@@ -244,15 +272,18 @@ class Store:
         memo = self.adjoint_memo
         a = memo.get(g)
         if a is None:
-            l, r = self._lefts[g], self._rights[g]
-            if not l:
-                a = self.star
-            else:
-                a = self.intern(
-                    tuple(self.adjoint(x) for x in r),
-                    tuple(self.adjoint(x) for x in l),
-                )
-            memo[g] = a
+            lefts, rights = self._lefts, self._rights
+
+            def build(x: FormId) -> None:
+                if lefts[x]:
+                    memo[x] = self.intern(
+                        [memo[o] for o in rights[x]], [memo[o] for o in lefts[x]]
+                    )
+                else:
+                    memo[x] = self.star
+
+            self._post_order(memo, g, build)
+            a = memo[g]
         return a
 
     def birthday(self, g: FormId) -> int:
@@ -287,31 +318,31 @@ class Store:
     def followers(self, g: FormId) -> tuple[FormId, ...]:
         """All positions reachable by any sequence of moves, g included, sorted by id.
 
-        Computed post-order on an explicit stack, so deep forms need no deep
-        Python recursion; every follower reached without an entry gets one.
+        Only the form asked for gets a memo entry, so memory stays linear in
+        the answers; a follower that has an entry already contributes it
+        whole. The rest is walked on an explicit stack, so deep forms need
+        no deep Python recursion. Options are older than their forms, so
+        ascending id order lists every follower after its own followers.
         """
         memo = self.followers_memo
         f = memo.get(g)
-        if f is not None:
-            return f
-        lefts, rights = self._lefts, self._rights
-        stack = [g]
-        while stack:
-            x = stack[-1]
-            if x in memo:  # pushed twice, and done since
-                stack.pop()
-                continue
-            options = lefts[x] + rights[x]
-            for o in options:
-                if o not in memo:
-                    stack.append(o)
-            if stack[-1] == x:
-                acc = {x}
-                for o in options:
-                    acc.update(memo[o])
-                memo[x] = tuple(sorted(acc))
-                stack.pop()
-        return memo[g]
+        if f is None:
+            lefts, rights = self._lefts, self._rights
+            seen = {g}
+            stack = [g]
+            while stack:
+                x = stack.pop()
+                for o in lefts[x] + rights[x]:
+                    if o in seen:
+                        continue
+                    known = memo.get(o)
+                    if known is None:
+                        seen.add(o)
+                        stack.append(o)
+                    else:
+                        seen.update(known)
+            f = memo[g] = tuple(sorted(seen))
+        return f
 
     def nimber(self, n: int) -> FormId:
         """The nimber *n; *0 is the endgame and *1 is star."""
@@ -464,13 +495,14 @@ def notation(store: Store, g: FormId) -> str:
     return "{" + left + "|" + right + "}"
 
 
-def _bits(mask: int) -> Iterator[int]:
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+def _subsets(population: list[FormId]) -> list[tuple[FormId, ...]]:
+    """Every subset of ``population`` as a sorted option tuple, indexed by
+    bitmask: bit i of the index selects ``population[i]``, and entry 0 is
+    the empty tuple."""
+    subsets: list[tuple[FormId, ...]] = [()]
+    for g in population:
+        subsets += [tuple(sorted(s + (g,))) for s in subsets]
+    return subsets
 
 
 def _layer_sizes(max_birthday: int) -> list[int]:
@@ -506,6 +538,11 @@ def enumerate_dicots(
     Raises BoundExceeded when max_birthday exceeds ``bound`` or when
     max_birthday or ``limit`` is negative. The default bound of 3 is
     deliberate: day-4 populations are astronomically large.
+
+    Both paths build each option subset of the previous population once
+    per mask, as a sorted tuple (1,023 of them for day 3), and intern every
+    form from two of them unchecked: population ids are distinct interned
+    forms and masks are never 0, so each pair is a valid dicot.
     """
     if max_birthday < 0:
         raise BoundExceeded("max_birthday must be >= 0")
@@ -520,12 +557,13 @@ def enumerate_dicots(
     for _day in range(max_birthday):
         prev = len(population)
         small = (1 << older) - 1
+        subsets = _subsets(population)
         layer: list[FormId] = []
         for mi in range(1, 1 << prev):
-            li = tuple(population[i] for i in _bits(mi))
+            li = subsets[mi]
             rstart = small + 1 if mi <= small else 1
             for ri in range(rstart, 1 << prev):
-                form = store.intern(li, tuple(population[i] for i in _bits(ri)))
+                form = store._intern_sorted(li, subsets[ri])
                 layer.append(form)
                 yield form
         population.extend(layer)
@@ -546,6 +584,7 @@ def _sample(store: Store, max_birthday: int, limit: int, bound: int, seed: int):
             yield store.zero
         return
     population = list(enumerate_dicots(store, max_birthday - 1, None, bound=bound))
+    subsets = _subsets(population)
     base = len(population)  # == total - sizes[-1]
     older = base - sizes[-2]  # forms of birthday <= max_birthday - 2
     small = (1 << older) - 1
@@ -563,7 +602,4 @@ def _sample(store: Store, max_birthday: int, limit: int, bound: int, seed: int):
             r2 = r - small_rows
             mi = small + 1 + r2 // full
             ri = 1 + r2 % full
-        yield store.intern(
-            tuple(population[i] for i in _bits(mi)),
-            tuple(population[i] for i in _bits(ri)),
-        )
+        yield store._intern_sorted(subsets[mi], subsets[ri])

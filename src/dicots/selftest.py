@@ -130,12 +130,15 @@ def check_inversion_characterization(store: Store, population: list[int]) -> Che
 
 
 def check_inversion_corollaries(store: Store, population: list[int]) -> CheckResult:
-    """A *2 follower forces non-invertibility, and invertibility is hereditary."""
+    """A *2 follower forces non-invertibility, and invertibility is hereditary.
+
+    Both are properties of the value, so each is checked once per canonical
+    form; the population's size is still the number of cases reported.
+    """
     t0 = time.perf_counter()
     failures: list[str] = []
     star2 = store.nimber(2)
-    for g in population:
-        c = canonical(store, g)
+    for c in sorted({canonical(store, g) for g in population}):
         verdict = is_invertible(store, c).verdict
         if verdict and star2 in store.followers(c):
             failures.append(f"{notation(store, c)}: invertible despite a *2 follower")

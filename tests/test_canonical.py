@@ -19,6 +19,7 @@ from dicots import (
     reduce_once,
     step_as_dict,
 )
+from dicots.canonical import _drops
 from dicots.selftest import day2_population, day3_sample
 
 from _oracles import assert_replay_reaches_canonical, day2_by_hand
@@ -105,20 +106,23 @@ def test_reduce_once_preserves_value_even_with_raw_options(store, day3_big):
 
 
 def test_reduce_once_ignores_the_rewrite_memo():
-    """The rewrite memo belongs to canonical's fixpoint loop and the replay
-    memo to explain, where every proper follower is canonical; the public
-    reduce_once neither reads nor fills them."""
-    store = Store()
-    g = parse(store, "{{*|*}|{*|*}}")
-    hit = reduce_once(store, g)
-    assert hit is not None
-    assert store.rewrite_memo == store.replay_memo == {}
-    # Memo entries claiming g's option pair is its own fixpoint, and that no
-    # rewrite applies to g.
-    store.rewrite_memo[(store.left(g), store.right(g))] = g
-    store.replay_memo[g] = None
-    assert reduce_once(store, g) == hit
-    assert eq(store, g, hit[0])
+    """The rewrite and kept memos belong to canonical's fixpoint loop and
+    the replay memo to explain, where every proper follower is canonical;
+    the public reduce_once neither reads nor fills them. The second form
+    starts with a domination step."""
+    for text in ("{{*|*}|{*|*}}", "{0,{0,*|*}|0}"):
+        store = Store()
+        g = parse(store, text)
+        hit = reduce_once(store, g)
+        assert hit is not None
+        assert store.rewrite_memo == store.kept_memo == store.replay_memo == {}
+        # Memo entries claiming g's option pair is its own fixpoint, that
+        # domination keeps every option, and that no rewrite applies to g.
+        store.rewrite_memo[(store.left(g), store.right(g))] = g
+        store.kept_memo[(store.left(g), True)] = store.left(g)
+        store.replay_memo[g] = None
+        assert reduce_once(store, g) == hit
+        assert eq(store, g, hit[0])
 
 
 def test_pinned_traces(store):
@@ -197,6 +201,24 @@ def test_canonical_alone_records_no_traces():
         canonical(store, g)
     assert store.canonical_memo
     assert store.canonical_steps_memo == store.replay_memo == {}
+
+
+def test_domination_memo_is_pure():
+    """Every kept entry is what a fresh domination pass keeps for its key,
+    and canonical forms do not depend on which entries are there."""
+    store, bare = Store(), Store()
+    forms = day2_population(store) + day3_sample(store, 2000)
+    day2_population(bare), day3_sample(bare, 2000)
+    got = [canonical(store, g) for g in forms]
+    assert store.kept_memo
+    for (opts, left), kept in store.kept_memo.items():
+        dropped = set(_drops(store, opts, left))
+        assert kept == tuple(x for x in opts if x not in dropped)
+    want = []
+    for g in forms:
+        bare.kept_memo.clear()
+        want.append(canonical(bare, g))
+    assert got == want
 
 
 def test_canonical_interns_no_form_between_steps():

@@ -194,10 +194,12 @@ def test_stats_counts_forms_and_every_memo_table():
 # A change to any of those orders must explain its diff here. The follower
 # scan interns no self-pair sums (sum and conjugate stay empty) and runs
 # once per canonical form (invert); canonical walks the followers only of
-# forms with a non-canonical option, so followers holds just the canonical
-# forms the scan walked. canonical interns no form per rewrite step and
-# records no trace (canonical_steps and replay stay empty until explain),
-# and its fixpoint runs once per canonicalised option pair (rewrite).
+# forms with a non-canonical option, and followers memoizes only the form
+# asked for, so followers holds just the canonical forms the scan walked.
+# canonical interns no form per rewrite step and records no trace
+# (canonical_steps and replay stay empty until explain), its fixpoint runs
+# once per canonicalised option pair (rewrite), and its domination scan
+# once per option tuple and side (kept).
 PINNED_SLICE_STATS = {
     "forms": 616,
     "sum": 0,
@@ -211,6 +213,7 @@ PINNED_SLICE_STATS = {
     "geq_zero": 1333,
     "canonical": 310,
     "canonical_steps": 0,
+    "kept": 444,
     "rewrite": 310,
     "replay": 0,
     "invert": 174,
@@ -227,17 +230,77 @@ def test_work_counts_are_pinned():
     assert store.stats() == PINNED_SLICE_STATS
 
 
-def test_followers_and_birthday_take_deep_forms():
-    """Both walk a 5,000-deep chain {...{{0|0}|0}...|0} without recursing:
-    the chain is the whole store, its first link being * (id 1). Which memo
-    entries the walks fill is pinned on the slice in
-    test_work_counts_are_pinned, not here."""
-    store = Store()
+def _chain(store, depth):
+    """The chain {...{{0|0}|0}...|0} of the given depth; with a fresh store
+    it is the whole store, its first link being * (id 1)."""
     g = store.zero
-    for _ in range(5000):
+    for _ in range(depth):
         g = store.intern((g,), (store.zero,))
+    return g
+
+
+def test_followers_and_birthday_take_deep_forms():
+    """Both walk a 5,000-deep chain without recursing. followers memoizes
+    only the form asked for, so its memory is the answer's size, not the
+    sum of every link's follower set."""
+    store = Store()
+    g = _chain(store, 5000)
     assert store.birthday(g) == 5000
     assert store.followers(g) == tuple(range(len(store)))
+    assert len(store.followers_memo) == 1
+
+
+def test_conjugate_and_adjoint_take_deep_forms():
+    """Both walk a 5,000-deep chain without recursing. Its conjugate is the
+    mirrored chain {0|{0|...{0|0}...}}, interned beforehand, and conjugating
+    that again, with the memo emptied, gives the chain back. The adjoint of
+    the endgame is *, and each link {h|0} has adjoint {*|adjoint(h)}."""
+    store = Store()
+    g = _chain(store, 5000)
+    mirror = store.zero
+    for _ in range(5000):
+        mirror = store.intern((store.zero,), (mirror,))
+    assert store.conjugate(g) == mirror
+    store.conjugate_memo.clear()
+    assert store.conjugate(mirror) == g
+    a = store.adjoint(g)
+    assert store.birthday(a) == 5001
+    for _ in range(5000):
+        assert store.left(a) == (store.star,)
+        (a,) = store.right(a)
+    assert a == store.star
+
+
+def _recursive(store, memo, g, op):
+    """Reference recursion for conjugate ("conjugate") and adjoint: options
+    Right then Left, each finished before the next, as the store's own
+    loops promise to build them."""
+    if g not in memo:
+        rs = [_recursive(store, memo, x, op) for x in store.right(g)]
+        ls = [_recursive(store, memo, x, op) for x in store.left(g)]
+        if op == "conjugate":
+            memo[g] = store.intern(rs, ls)
+            memo[memo[g]] = g
+        else:
+            memo[g] = store.intern(rs, ls) if ls else store.star
+    return memo[g]
+
+
+@pytest.mark.parametrize("op", ["conjugate", "adjoint"])
+def test_conjugate_and_adjoint_intern_in_recursion_order(op):
+    """Ids are part of the output (notation orders options by id), so the
+    explicit-stack loops must intern exactly what a recursion would, in the
+    same order."""
+    memo: dict = {}
+    fast, slow = Store(), Store()
+    for store in (fast, slow):  # built alike, so their ids agree
+        forms = day2_population(store) + day3_sample(store, 300)
+        # Sums of day-3 forms, youngest first: their followers are sums
+        # whose conjugates and adjoints are new forms, several per call.
+        forms = [store.sum(g, h) for g, h in zip(forms[10:60], forms[11:61])][::-1] + forms
+    for g in forms:
+        assert getattr(fast, op)(g) == _recursive(slow, memo, g, op)
+    assert len(fast) == len(slow)
 
 
 def test_conjugate_swaps_players_and_is_an_involution(store, day2):

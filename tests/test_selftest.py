@@ -1,6 +1,8 @@
 """The selftest harness: sampling, result formatting, check roster."""
 
-from dicots import Store, notation
+import dataclasses
+
+from dicots import Store, canonical, is_invertible, notation, selftest
 from dicots.selftest import CheckResult, day2_population, day3_sample, format_line, iter_checks
 
 CHECK_NAMES = [
@@ -46,3 +48,24 @@ def test_quick_level_runs_every_check(store):
     results = list(iter_checks("quick", store))
     assert [r.name for r in results] == CHECK_NAMES
     assert all(r.passed for r in results)
+
+
+def test_corollary_check_fails_on_a_non_invertible_follower(monkeypatch):
+    """The heredity check runs once per value but still fails, naming the
+    value, when a follower of an invertible value reports non-invertible;
+    its case count stays the population's size."""
+    store = Store()
+    population = day2_population(store) + day3_sample(store, 300)
+    values = sorted({canonical(store, g) for g in population})
+    c = next(v for v in values if v != store.zero and is_invertible(store, v).verdict)
+    f = store.followers(c)[-2]  # c's youngest proper follower; c itself is last
+
+    def broken(store, g):
+        report = is_invertible(store, g)
+        return dataclasses.replace(report, verdict=False) if g == f else report
+
+    monkeypatch.setattr(selftest, "is_invertible", broken)
+    r = selftest.check_inversion_corollaries(store, population)
+    assert not r.passed
+    assert r.detail.split(":")[0].endswith(f" of {len(population)} failed")
+    assert f"{notation(store, c)}: non-invertible follower {notation(store, f)}" in r.detail
