@@ -16,11 +16,10 @@ Three families of rewrites preserve the value of a form while shrinking it:
 Applied bottom-up until nothing fires, these rewrites terminate in the
 unique smallest form of each equivalence class. Because that form is unique,
 ``canonical`` keeps only the fixpoint: it drops every dominated option in
-one pass and interns no form per step. ``explain`` records the route on
-demand, one ReductionStep per rewrite, by replaying ``reduce_once`` from
-each follower's canonicalised options; the same domination scan and the
-same reversibility tail serve both, so the trace ends where ``canonical``
-does.
+one pass and interns no form per step. ``explain`` asks the same fixpoint
+loop to write down its route, one ReductionStep per rewrite, so the trace
+ends where ``canonical`` does. ``reduce_once`` is the single-step rule the
+route is made of.
 
 A rewrite that would reproduce the same form (a replacement already present)
 counts as not applicable; the scan simply moves on.
@@ -170,10 +169,11 @@ def reduce_once(store: Store, g: FormId) -> tuple[FormId, ReductionStep] | None:
     replacements (Left then Right), reversibility through the endgame (Left
     then Right), then the two-singleton collapse to 0; candidates are tried
     in stored (ascending id) order. `canonical` reaches the same fixpoint
-    without interning a form per step; `explain` replays this function to
-    record the steps.
+    without interning a form per step, and the steps `explain` records are
+    the ones this function takes, one call at a time.
     """
-    left, right = store.left(g), store.right(g)
+    check_id(store, g)
+    left, right = store._lefts[g], store._rights[g]
     intern = store._intern_sorted
     a = next(_drops(store, left, True), None)
     if a is not None:
@@ -203,22 +203,49 @@ def _kept(store: Store, opts: tuple[FormId, ...], left: bool) -> tuple[FormId, .
     return kept
 
 
-def _fixpoint(store: Store, left: tuple[FormId, ...], right: tuple[FormId, ...]) -> FormId:
+def _fixpoint(
+    store: Store,
+    left: tuple[FormId, ...],
+    right: tuple[FormId, ...],
+    steps: list[ReductionStep] | None = None,
+) -> FormId:
     """The form reduce_once reaches from the form with options (left, right),
     every one of them canonical, without interning the forms in between.
 
     Each round drops every dominated option at once (Left, then Right) and
     interns only the form left over, which the reversibility tests take as
     an id; a reversal's result starts the next round.
+
+    Given a ``steps`` list, it appends the route reduce_once takes: each
+    round interns the form holding its options, then each dropped option
+    is one domination step (Left, then Right, in ascending id order, as
+    ``_drops`` finds them), then comes the reversal's step.
     """
     lefts, rights = store._lefts, store._rights
+    intern = store._intern_sorted
     while True:
-        left = _kept(store, left, True)
-        right = _kept(store, right, False)
-        g = store._intern_sorted(left, right)
+        kept_left = _kept(store, left, True)
+        kept_right = _kept(store, right, False)
+        if steps is not None:
+            g = intern(left, right)
+            for a in left:
+                if a not in kept_left:
+                    left = tuple(x for x in left if x != a)
+                    after = intern(left, right)
+                    steps.append(ReductionStep(StepKind.DOMINATION_L, g, after))
+                    g = after
+            for a in right:
+                if a not in kept_right:
+                    right = tuple(x for x in right if x != a)
+                    after = intern(left, right)
+                    steps.append(ReductionStep(StepKind.DOMINATION_R, g, after))
+                    g = after
+        g = intern(kept_left, kept_right)
         hit = _reverse(store, g)
         if hit is None:
             return g
+        if steps is not None:
+            steps.append(ReductionStep(hit[1], g, hit[0]))
         g = hit[0]
         left, right = lefts[g], rights[g]
 
@@ -241,7 +268,7 @@ def canonical(store: Store, g: FormId) -> FormId:
     its canonical form, then rewrite at the root to a fixpoint. Canonical
     forms are unique, so only the fixpoint is kept: dominated options are
     dropped all at once, and no form is interned for a step on the way
-    (``explain`` replays the steps when asked).
+    (``explain`` has the fixpoint record them when asked).
 
     Followers whose options canonicalise alike share the fixpoint: it is
     memoized per canonicalised option pair in the store's ``rewrite`` table
@@ -294,10 +321,10 @@ def explain(store: Store, g: FormId) -> list[ReductionStep]:
     everywhere) transforms g into canonical(store, g).
 
     A follower's steps are recorded on the first ``explain`` that reaches
-    it, in the store's ``canonical_steps`` table, by applying reduce_once
-    from the form with its canonicalised options until nothing fires; this
-    interns the forms in between, which ``canonical`` skips. A follower's
-    first trace so costs its fixpoint and then its replay.
+    it, in the store's ``canonical_steps`` table, by running canonical's
+    fixpoint from the form with its canonicalised options with a list to
+    write its route into; this interns the forms in between, which
+    ``canonical`` skips.
     """
     canonical(store, g)
     steps_memo = store.canonical_steps_memo
@@ -305,31 +332,11 @@ def explain(store: Store, g: FormId) -> list[ReductionStep]:
     for f in sorted(store.followers(g), key=lambda x: (store.birthday(x), x)):
         steps = steps_memo.get(f)
         if steps is None:
-            steps = steps_memo[f] = _replay(store, f)
+            route: list[ReductionStep] = []
+            _fixpoint(store, *_canonical_options(store, f), route)
+            steps = steps_memo[f] = tuple(route)
         out.extend(steps)
     return out
-
-
-def _replay(store: Store, f: FormId) -> tuple[ReductionStep, ...]:
-    """The reduce_once steps from f's canonicalised options to the fixpoint.
-
-    Followers often pass through the same intermediate forms, so the root
-    rewrite of each form on the way is memoized in the store's ``replay``
-    table (filled only here: its size counts the root scans the traces
-    made).
-    """
-    replays = store.replay_memo
-    steps = []
-    h = store._intern_sorted(*_canonical_options(store, f))
-    while True:
-        if h in replays:
-            hit = replays[h]
-        else:
-            hit = replays[h] = reduce_once(store, h)
-        if hit is None:
-            return tuple(steps)
-        h, step = hit
-        steps.append(step)
 
 
 def step_as_dict(store: Store, step: ReductionStep) -> dict:

@@ -81,7 +81,6 @@ MEMO_TABLES = (
     "canonical_steps",
     "kept",
     "rewrite",
-    "replay",
     "invert",
 )
 
@@ -98,17 +97,12 @@ class Store:
     entry of MEMO_TABLES, keyed by form id (or id pair) and filled by the
     function they memoize, here or in the module that defines it.
 
-    Options are read two ways. The kernels inside the package (the win
-    solver, the order recursions, sums, conjugates, canonicalisation) index
-    ``_lefts`` and ``_rights`` directly and unchecked: they trust the id
-    they are handed, and every id they reach from it is an option of a form
-    in the store. Callers outside the package, and ``reduce_once`` and
-    ``notation``, which walk a caller's form, use the checked ``left`` and
-    ``right``; these raise UnknownId for an id the store does not hold.
-    The module-level public functions (``outcome``, ``geq``, ``canonical``,
-    ``is_invertible``, ``notation``, ...) pass each id they are handed
-    through ``check_id``, or first to a public function that does, before
-    any kernel sees it; the methods here do not.
+    Inside the package options are read one way: ``_lefts`` and
+    ``_rights`` are indexed directly. The module-level public functions
+    (``outcome``, ``geq``, ``canonical``, ``is_invertible``, ``notation``,
+    ...) first pass each id they are handed through ``check_id``, or to a
+    public function that does; the methods here do not. The checked
+    ``left`` and ``right`` are for callers outside the package.
     """
 
     def __init__(self):
@@ -130,7 +124,6 @@ class Store:
         self.canonical_steps_memo: dict = {}
         self.kept_memo: dict = {}
         self.rewrite_memo: dict = {}
-        self.replay_memo: dict = {}
         self.invert_memo: dict = {}
         self.zero = self.intern((), ())
         self.star = self.intern((self.zero,), (self.zero,))
@@ -480,19 +473,35 @@ def notation(store: Store, g: FormId) -> str:
     """Deterministic textual form of g; parse(store, notation(store, g)) == g.
 
     Nimbers are printed with their shorthand, everything else as braces with
-    options in stored (sorted id) order.
+    options in stored (sorted id) order. The form is walked on an explicit
+    stack of ids and literal tokens, so deep forms need no deep recursion.
     """
     check_id(store, g)
-    if g == store.zero:
-        return "0"
-    n = store.nimber_index(g)
-    if n == 1:
-        return "*"
-    if n:
-        return f"*{n}"
-    left = ",".join(notation(store, x) for x in store.left(g))
-    right = ",".join(notation(store, x) for x in store.right(g))
-    return "{" + left + "|" + right + "}"
+    lefts, rights = store._lefts, store._rights
+    out: list[str] = []
+    stack: list = [g]
+    while stack:
+        x = stack.pop()
+        if type(x) is str:
+            out.append(x)
+            continue
+        n = store.nimber_index(x)
+        if n == 0:
+            out.append("0")
+        elif n == 1:
+            out.append("*")
+        elif n:
+            out.append(f"*{n}")
+        else:
+            tokens: list = ["{"]
+            for side, closer in ((lefts[x], "|"), (rights[x], "}")):
+                for i, o in enumerate(side):
+                    if i:
+                        tokens.append(",")
+                    tokens.append(o)
+                tokens.append(closer)
+            stack.extend(reversed(tokens))
+    return "".join(out)
 
 
 def _subsets(population: list[FormId]) -> list[tuple[FormId, ...]]:

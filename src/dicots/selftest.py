@@ -279,7 +279,7 @@ def check_algebraic_properties(
     for _ in range(cases):
         g = rng.choice(nonzero)
         a = rng.choice(pop)
-        wider = store.intern(set(store.left(g)) | {a}, store.right(g))
+        wider = store.intern(set(store._lefts[g]) | {a}, store._rights[g])
         if not geq(store, wider, g):
             failures.append(f"{notation(store, g)} hurt by extra Left option")
     results.append(_result("hand-tying", t0, failures, cases))

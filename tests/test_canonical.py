@@ -106,21 +106,19 @@ def test_reduce_once_preserves_value_even_with_raw_options(store, day3_big):
 
 
 def test_reduce_once_ignores_the_rewrite_memo():
-    """The rewrite and kept memos belong to canonical's fixpoint loop and
-    the replay memo to explain, where every proper follower is canonical;
-    the public reduce_once neither reads nor fills them. The second form
-    starts with a domination step."""
+    """The rewrite and kept memos belong to canonical's fixpoint loop, where
+    every proper follower is canonical; the public reduce_once neither reads
+    nor fills them. The second form starts with a domination step."""
     for text in ("{{*|*}|{*|*}}", "{0,{0,*|*}|0}"):
         store = Store()
         g = parse(store, text)
         hit = reduce_once(store, g)
         assert hit is not None
-        assert store.rewrite_memo == store.kept_memo == store.replay_memo == {}
-        # Memo entries claiming g's option pair is its own fixpoint, that
-        # domination keeps every option, and that no rewrite applies to g.
+        assert store.rewrite_memo == store.kept_memo == {}
+        # Memo entries claiming g's option pair is its own fixpoint and that
+        # domination keeps every option.
         store.rewrite_memo[(store.left(g), store.right(g))] = g
         store.kept_memo[(store.left(g), True)] = store.left(g)
-        store.replay_memo[g] = None
         assert reduce_once(store, g) == hit
         assert eq(store, g, hit[0])
 
@@ -195,12 +193,31 @@ def test_explain_replays_each_follower_to_its_canonical_form(store, day2, day3_b
             assert h == canonical(store, f)
 
 
+def test_explain_records_the_steps_reduce_once_takes(store, day2, day3_big, raw_forms):
+    """Each follower's recorded trace is the one reduce_once takes, one step
+    at a time, from the form with its canonicalised options until nothing
+    fires: the fixpoint's batched drops come out in single-step order."""
+    for g in day2 + day3_big[:2000] + raw_forms:
+        explain(store, g)
+        for f in store.followers(g):
+            h = store.intern(
+                [canonical(store, x) for x in store.left(f)],
+                [canonical(store, x) for x in store.right(f)],
+            )
+            want = []
+            while (hit := reduce_once(store, h)) is not None:
+                h, step = hit
+                want.append((step.kind, step.before, step.after))
+            got = [(s.kind, s.before, s.after) for s in store.canonical_steps_memo[f]]
+            assert got == want, notation(store, f)
+
+
 def test_canonical_alone_records_no_traces():
     store = Store()
     for g in day2_population(store) + day3_sample(store, 300):
         canonical(store, g)
     assert store.canonical_memo
-    assert store.canonical_steps_memo == store.replay_memo == {}
+    assert store.canonical_steps_memo == {}
 
 
 def test_domination_memo_is_pure():
