@@ -33,7 +33,6 @@ from typing import Iterator
 
 from .forms import FormId, Store, check_id, notation
 from .order import _geq, geq_zero, leq_zero
-from .outcomes import Outcome, outcome
 
 
 class StepKind(Enum):
@@ -113,8 +112,9 @@ def _reverse(store: Store, g: FormId) -> tuple[FormId, StepKind] | None:
     # Reversibility through the endgame. In a dicot store the endgame is the
     # only form without Left options, so "A reverses through an option-less
     # position" means exactly: 0 is a Right option of A, and 0 <= g.
+    # Left's winning moves: options where Right, moving first, loses.
     if geq_zero(store, g):
-        winners = [c for c in left if outcome(store, c) in (Outcome.L, Outcome.P)]
+        winners = [c for c in left if not store._right_wins[c]]
         for a in left:
             if zero not in rights[a]:
                 continue
@@ -131,7 +131,7 @@ def _reverse(store: Store, g: FormId) -> tuple[FormId, StepKind] | None:
             if after != g:
                 return after, StepKind.ATOMIC_REVERSE_STAR_L
     if leq_zero(store, g):
-        winners = [c for c in right if outcome(store, c) in (Outcome.R, Outcome.P)]
+        winners = [c for c in right if not store._left_wins[c]]
         for a in right:
             if zero not in lefts[a]:
                 continue

@@ -48,7 +48,7 @@ from .invert import (
 )
 from .order import compare
 from .outcomes import outcome
-from .selftest import iter_checks, run
+from .selftest import format_line, iter_checks
 
 _EXPR_VERBS = (
     "outcome",
@@ -267,8 +267,12 @@ def _do_enumerate(store: Store, args) -> int:
 
 
 def _do_selftest(store: Store, args) -> int:
+    results = []
+    for r in iter_checks(args.level, store):
+        results.append(r)
+        if args.format == "text":
+            print(format_line(r))
     if args.format == "json":
-        results = list(iter_checks(args.level, store))
         _emit_json(
             {
                 "verb": "selftest",
@@ -284,5 +288,4 @@ def _do_selftest(store: Store, args) -> int:
                 ],
             }
         )
-        return 0 if all(r.passed for r in results) else 1
-    return 0 if run(args.level, store) else 1
+    return 0 if all(r.passed for r in results) else 1

@@ -9,8 +9,8 @@ sorted by id, which makes identity checks, printing, and iteration order
 deterministic.
 
 Besides construction this module provides the structural algebra
-(disjunctive sum, conjugate, adjoint, followers, birthday), the textual
-notation, and a bounded enumerator of all dicots up to a given birthday.
+(disjunctive sum, conjugate, adjoint, followers), the textual notation, and
+a bounded enumerator of all dicots up to a given birthday.
 
 Notation grammar (whitespace insignificant)::
 
@@ -71,9 +71,7 @@ MEMO_TABLES = (
     "sum",
     "conjugate",
     "followers",
-    "birthday",
     "adjoint",
-    "outcome",
     "first_wins",
     "geq",
     "geq_zero",
@@ -93,6 +91,10 @@ class Store:
     built on top is a pure memoized function of ids, so concurrent readers
     are safe. ``zero`` and ``star`` are pre-interned with ids 0 and 1.
 
+    Interning a form fixes its birthday and whether each player wins moving
+    first, read off its options' own entries; ``birthday`` and
+    ``outcomes.outcome`` look them up.
+
     The memo tables are plain dict attributes named ``<name>_memo``, one per
     entry of MEMO_TABLES, keyed by form id (or id pair) and filled by the
     function they memoize, here or in the module that defines it.
@@ -110,13 +112,13 @@ class Store:
         self._lefts: list[tuple[FormId, ...]] = []
         self._rights: list[tuple[FormId, ...]] = []
         self._ids: dict[tuple, FormId] = {}
-        self._nimbers: list[FormId] = []
+        self._birthdays: list[int] = []
+        self._left_wins: list[bool] = []
+        self._right_wins: list[bool] = []
         self.sum_memo: dict = {}
         self.conjugate_memo: dict = {}
         self.followers_memo: dict = {}
-        self.birthday_memo: dict = {}
         self.adjoint_memo: dict = {}
-        self.outcome_memo: dict = {}
         self.first_wins_memo: dict = {}
         self.geq_memo: dict = {}
         self.geq_zero_memo: dict = {}
@@ -154,15 +156,30 @@ class Store:
     def _intern_sorted(self, l: tuple[FormId, ...], r: tuple[FormId, ...]) -> FormId:
         """``intern`` for option tuples the store itself produced: interned
         ids, sorted, duplicate free, and both sides empty or neither. Nothing
-        is checked. A hit takes no lock; a new form is published in ``_ids``
-        only after its options are in place, so a lock-free reader never
-        sees an id it cannot look up."""
+        is checked. A hit takes no lock. A new form's facts go in before its
+        options (which ``check_id`` counts), and its id into ``_ids`` last, so
+        a lock-free reader never sees an id it cannot look up."""
         key = (l, r)
         gid = self._ids.get(key)
         if gid is None:
             with self._lock:
                 gid = self._ids.get(key)
                 if gid is None:
+                    births, lwins, rwins = self._birthdays, self._left_wins, self._right_wins
+                    b, lw, rw = 0, not l, not r
+                    for x in l:
+                        if births[x] >= b:
+                            b = births[x] + 1
+                        if not rwins[x]:
+                            lw = True
+                    for x in r:
+                        if births[x] >= b:
+                            b = births[x] + 1
+                        if not lwins[x]:
+                            rw = True
+                    births.append(b)
+                    lwins.append(lw)
+                    rwins.append(rw)
                     gid = len(self._lefts)
                     self._lefts.append(l)
                     self._rights.append(r)
@@ -268,9 +285,11 @@ class Store:
             lefts, rights = self._lefts, self._rights
 
             def build(x: FormId) -> None:
+                # The adjoint is injective, so neither side has duplicates.
                 if lefts[x]:
-                    memo[x] = self.intern(
-                        [memo[o] for o in rights[x]], [memo[o] for o in lefts[x]]
+                    memo[x] = self._intern_sorted(
+                        tuple(sorted([memo[o] for o in rights[x]])),
+                        tuple(sorted([memo[o] for o in lefts[x]])),
                     )
                 else:
                     memo[x] = self.star
@@ -280,33 +299,9 @@ class Store:
         return a
 
     def birthday(self, g: FormId) -> int:
-        """Height of the game tree: 0 for the endgame, else 1 + max over options.
-
-        Computed post-order on an explicit stack, so deep forms need no deep
-        Python recursion; every follower reached without an entry gets one.
-        """
-        memo = self.birthday_memo
-        b = memo.get(g)
-        if b is not None:
-            return b
-        lefts, rights = self._lefts, self._rights
-        stack = [g]
-        while stack:
-            x = stack[-1]
-            if x in memo:  # pushed twice, and done since
-                stack.pop()
-                continue
-            b = 0
-            for o in lefts[x] + rights[x]:
-                ob = memo.get(o)
-                if ob is None:
-                    stack.append(o)
-                elif ob >= b:
-                    b = ob + 1
-            if stack[-1] == x:
-                memo[x] = b
-                stack.pop()
-        return memo[g]
+        """Height of the game tree: 0 for the endgame, else 1 + max over
+        options. Fixed when g was interned."""
+        return self._birthdays[g]
 
     def followers(self, g: FormId) -> tuple[FormId, ...]:
         """All positions reachable by any sequence of moves, g included, sorted by id.
@@ -341,11 +336,12 @@ class Store:
         """The nimber *n; *0 is the endgame and *1 is star."""
         if n < 0:
             raise ValueError("nimber index must be >= 0")
-        with self._lock:
-            while len(self._nimbers) <= n:
-                prev = tuple(self._nimbers)
-                self._nimbers.append(self.intern(prev, prev))
-        return self._nimbers[n]
+        g = self.zero
+        prev: tuple[FormId, ...] = ()
+        for _ in range(n):
+            prev += (g,)  # *k has *(k-1) as an option, so a larger id
+            g = self._intern_sorted(prev, prev)
+        return g
 
     def nimber_index(self, g: FormId) -> int | None:
         """n when g is structurally the nimber *n (n <= NIMBER_CAP), else None.
@@ -369,8 +365,10 @@ class Store:
 
         Every option id must be smaller than its form's id (the table is
         acyclic by construction), option tuples must be sorted and duplicate
-        free, and the dicot condition must hold everywhere.
+        free, the dicot condition must hold everywhere, and each form's
+        birthday and first-mover wins must be those its options give.
         """
+        births, lwins, rwins = self._birthdays, self._left_wins, self._right_wins
         for gid in range(len(self._lefts)):
             l, r = self._lefts[gid], self._rights[gid]
             if bool(l) != bool(r):
@@ -380,6 +378,13 @@ class Store:
                     raise ValueError(f"form {gid} has an option {x} not older than itself")
             if l != tuple(sorted(set(l))) or r != tuple(sorted(set(r))):
                 raise ValueError(f"form {gid} has unsorted or duplicated options")
+            facts = (
+                max([births[x] + 1 for x in l + r], default=0),
+                not l or not all([rwins[x] for x in l]),
+                not r or not all([lwins[x] for x in r]),
+            )
+            if facts != (births[gid], lwins[gid], rwins[gid]):
+                raise ValueError(f"form {gid} has a wrong birthday or outcome")
 
 
 def check_id(store: Store, g: object) -> None:

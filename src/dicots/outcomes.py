@@ -5,6 +5,9 @@ who wins with optimal play: L (Left wins regardless of who starts), R (Right
 wins regardless), N (whoever moves next wins), P (whoever moved previously
 wins). Outcomes are ordered from Left's point of view: L is best, R worst,
 and N and P are incomparable.
+
+The store fixes who wins each form moving first when it interns the form;
+the pair solver ``_wins`` asks the same of a difference a - b never interned.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ class Outcome(Enum):
     def __str__(self) -> str:
         return self.value
 
+
+# For ``outcome``: reading a member off the Enum class is slow on Python 3.11.
+_L, _N, _P, _R = Outcome.L, Outcome.N, Outcome.P, Outcome.R
 
 _GE = frozenset(
     [(o, o) for o in Outcome]
@@ -58,13 +64,13 @@ def conjugate_outcome(a: Outcome) -> Outcome:
 def left_wins_moving_first(store: Store, g: FormId) -> bool:
     """True iff Left, moving first at g, wins with optimal play."""
     check_id(store, g)
-    return _wins(store, store.first_wins_memo, g, store.zero)
+    return store._left_wins[g]
 
 
 def right_wins_moving_first(store: Store, g: FormId) -> bool:
     """True iff Right, moving first at g, wins with optimal play."""
     check_id(store, g)
-    return _wins(store, store.first_wins_memo, store.zero, g)
+    return store._right_wins[g]
 
 
 def _wins(store: Store, memo: dict, a: FormId, b: FormId) -> bool:
@@ -95,17 +101,9 @@ def _wins(store: Store, memo: dict, a: FormId, b: FormId) -> bool:
 
 
 def outcome(store: Store, g: FormId) -> Outcome:
-    """Misere outcome of g, memoized on the store."""
+    """Misere outcome of g, from the first-mover results fixed when g was
+    interned."""
     check_id(store, g)
-    memo = store.outcome_memo
-    hit = memo.get(g)
-    if hit is None:
-        first = store.first_wins_memo
-        lf = _wins(store, first, g, store.zero)
-        rf = _wins(store, first, store.zero, g)
-        if lf:
-            hit = Outcome.N if rf else Outcome.L
-        else:
-            hit = Outcome.R if rf else Outcome.P
-        memo[g] = hit
-    return hit
+    if store._left_wins[g]:
+        return _N if store._right_wins[g] else _L
+    return _R if store._right_wins[g] else _P

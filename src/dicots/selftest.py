@@ -1,7 +1,8 @@
 """Self-checks covering every headline guarantee the library makes.
 
-Each check returns a CheckResult; ``run`` executes a named level and prints
-one PASS/FAIL line per check. The ``full`` level is the acceptance sweep
+Each check returns a CheckResult; ``iter_checks`` runs a named level and
+yields the results as they finish, and ``format_line`` renders one as a
+PASS/FAIL line. The ``full`` level is the acceptance sweep
 (exhaustive at birthday <= 2 plus a fixed 10,000-form sample at birthday 3,
 property suites at 500 cases); ``quick`` shrinks the sampled populations to
 finish well under a minute. The acceptance test module drives these same
@@ -353,11 +354,3 @@ def iter_checks(level: str = "quick", store: Store | None = None) -> Iterator[Ch
     yield check_positivity_under_self_pairs(store)
     yield from check_algebraic_properties(store, day2, day3, sizes["cases"])
 
-
-def run(level: str = "quick", store: Store | None = None, echo=print) -> bool:
-    """Execute a selftest level, echoing one line per check; True iff all passed."""
-    ok = True
-    for r in iter_checks(level, store):
-        ok = ok and r.passed
-        echo(format_line(r))
-    return ok

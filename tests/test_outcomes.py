@@ -4,6 +4,7 @@ import itertools
 
 from dicots import (
     Outcome,
+    Store,
     conjugate_outcome,
     left_wins_moving_first,
     outcome,
@@ -74,10 +75,39 @@ def test_outcome_agrees_with_moving_first_flags(store, day2, day3_big):
         assert outcome(store, g) is table[(lw, rw)]
 
 
-def test_outcomes_match_brute_minimax(store, day2, day3_big):
+def test_outcomes_match_brute_minimax(store, day2, day3_big, raw_forms):
+    """Over enumerated forms, and sums and conjugates through the followers
+    of raw_forms. The first-mover results fixed at interning also equal the
+    pair solver's on (g, 0) and (0, g)."""
+    forms = set(day2 + day3_big[:500])
+    for g in raw_forms:
+        forms.update(store.followers(g))
     memo = {}
-    for g in day2 + day3_big[:500]:
+    first = store.first_wins_memo
+    z = store.zero
+    for g in sorted(forms):
         assert outcome(store, g) is brute_outcome(store, g, memo)
+        assert left_wins_moving_first(store, g) == _wins(store, first, g, z)
+        assert right_wins_moving_first(store, g) == _wins(store, first, z, g)
+
+
+def test_outcome_and_birthday_take_deep_forms():
+    """Both are fixed when a form is interned, so a 5,000-deep chain needs
+    no recursion. Along h = {h|h} the outcome alternates P (odd depth) and
+    N (even depth); along h = {0|h} Left moving first must move to 0 and
+    lose, while Right moving first wins from depth 1 on."""
+    store = Store()
+    z = store.zero
+    sym = tail = z
+    for _ in range(5000):
+        sym = store.intern((sym,), (sym,))
+        tail = store.intern((z,), (tail,))
+    assert outcome(store, sym) is Outcome.N
+    assert left_wins_moving_first(store, sym) and right_wins_moving_first(store, sym)
+    assert outcome(store, tail) is Outcome.R
+    assert not left_wins_moving_first(store, tail)
+    assert right_wins_moving_first(store, tail)
+    assert store.birthday(sym) == store.birthday(tail) == 5000
 
 
 def test_pinned_sum_outcomes(store):
