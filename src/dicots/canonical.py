@@ -191,14 +191,26 @@ def reduce_once(store: Store, g: FormId) -> tuple[FormId, ReductionStep] | None:
 
 
 def _kept(store: Store, opts: tuple[FormId, ...], left: bool) -> tuple[FormId, ...]:
-    """The options of one side that domination keeps, memoized per
-    (options, side) in the store's ``kept`` table (filled only by
-    ``_fixpoint``: its size counts the distinct domination scans)."""
+    """The options of one side that domination keeps once each option is
+    replaced by its canonical form, memoized per (options, side) in the
+    store's ``kept`` table (filled only by ``_fixpoint``).
+
+    ``opts`` is the tuple as the form holds it: each option's canonical form
+    must be in the memo already, or the option must be canonical itself, as
+    every option of a later round is. When canonicalising changes the tuple,
+    the canonical tuple's entry is stored under the raw key as well, so a
+    domination scan runs once per canonical tuple and side.
+    """
     key = (opts, left)
     kept = store.kept_memo.get(key)
     if kept is None:
-        dropped = set(_drops(store, opts, left))
-        kept = tuple(x for x in opts if x not in dropped)
+        memo = store.canonical_memo
+        canon = tuple(sorted({memo.get(x, x) for x in opts}))
+        if canon != opts:
+            kept = _kept(store, canon, left)
+        else:
+            dropped = set(_drops(store, opts, left))
+            kept = tuple(x for x in opts if x not in dropped)
         store.kept_memo[key] = kept
     return kept
 
@@ -209,20 +221,30 @@ def _fixpoint(
     right: tuple[FormId, ...],
     steps: list[ReductionStep] | None = None,
 ) -> FormId:
-    """The form reduce_once reaches from the form with options (left, right),
-    every one of them canonical, without interning the forms in between.
+    """The canonical form of the form with options (left, right), every
+    proper follower of which has its canonical form in the memo already,
+    without interning the forms in between.
 
-    Each round drops every dominated option at once (Left, then Right) and
-    interns only the form left over, which the reversibility tests take as
-    an id; a reversal's result starts the next round.
+    Each round drops every dominated option at once (Left, then Right, on
+    the options' canonical forms) and looks the pair left over up in the
+    store's ``rewrite`` table. A hit ends the loop. Otherwise it interns
+    only that post-domination form, which the reversibility tests take as
+    an id, and a reversal's result starts the next round. Every round's
+    post-domination form has the value of the input, so when the loop ends
+    its canonical form is stored under every round's pair: the reversal
+    scan runs once per post-domination form.
 
-    Given a ``steps`` list, it appends the route reduce_once takes: each
-    round interns the form holding its options, then each dropped option
-    is one domination step (Left, then Right, in ascending id order, as
-    ``_drops`` finds them), then comes the reversal's step.
+    Given a ``steps`` list, ``left`` and ``right`` must be canonical
+    already, and it appends the route reduce_once takes: each round interns
+    the form holding its options, then each dropped option is one
+    domination step (Left, then Right, in ascending id order, as ``_drops``
+    finds them), then comes the reversal's step. This route neither reads
+    nor fills ``rewrite``, so every round is recorded.
     """
     lefts, rights = store._lefts, store._rights
     intern = store._intern_sorted
+    rewrites = store.rewrite_memo
+    seen = []
     while True:
         kept_left = _kept(store, left, True)
         kept_right = _kept(store, right, False)
@@ -240,14 +262,23 @@ def _fixpoint(
                     after = intern(left, right)
                     steps.append(ReductionStep(StepKind.DOMINATION_R, g, after))
                     g = after
+        else:
+            key = (kept_left, kept_right)
+            g = rewrites.get(key)
+            if g is not None:
+                break
+            seen.append(key)
         g = intern(kept_left, kept_right)
         hit = _reverse(store, g)
         if hit is None:
-            return g
+            break
         if steps is not None:
             steps.append(ReductionStep(hit[1], g, hit[0]))
         g = hit[0]
         left, right = lefts[g], rights[g]
+    for key in seen:
+        rewrites[key] = g
+    return g
 
 
 def _canonical_options(store: Store, f: FormId) -> tuple[tuple[FormId, ...], tuple[FormId, ...]]:
@@ -270,14 +301,13 @@ def canonical(store: Store, g: FormId) -> FormId:
     dropped all at once, and no form is interned for a step on the way
     (``explain`` has the fixpoint record them when asked).
 
-    Followers whose options canonicalise alike share the fixpoint: it is
-    memoized per canonicalised option pair in the store's ``rewrite`` table
-    (filled only here: its size counts the fixpoints canonicalisation
-    computed). A row of the day-3 census, where many options are
-    non-canonical forms of one value, finds about half its followers there.
-    Inside the fixpoint, the options domination keeps are memoized per
+    The fixpoint takes each follower's options as the follower holds them.
+    It canonicalises them inside its domination scan, which is memoized per
     (option tuple, side) in the ``kept`` table, so a tuple met again costs
-    one lookup instead of a scan.
+    one lookup. Its reversal scan is memoized per post-domination option
+    pair in the ``rewrite`` table (filled only by the fixpoint: its size
+    counts the reversal scans canonicalisation made), so followers that
+    agree once dominated options are gone share one scan.
 
     When every option of g already has its canonical form, so has every
     proper follower (an option's entry is published only after its own
@@ -290,7 +320,6 @@ def canonical(store: Store, g: FormId) -> FormId:
     got = memo.get(g)
     if got is not None:
         return got
-    rewrites = store.rewrite_memo
     lefts, rights = store._lefts, store._rights
     todo = (g,)
     for x in lefts[g] + rights[g]:
@@ -300,11 +329,7 @@ def canonical(store: Store, g: FormId) -> FormId:
     for f in todo:
         if f in memo:
             continue
-        key = _canonical_options(store, f)
-        c = rewrites.get(key)
-        if c is None:
-            c = rewrites[key] = _fixpoint(store, *key)
-        memo[f] = c
+        memo[f] = _fixpoint(store, lefts[f], rights[f])
     return memo[g]
 
 

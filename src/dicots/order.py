@@ -25,7 +25,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .forms import FormId, Store, check_id
-from .outcomes import _wins, outcome, outcome_geq
+from .outcomes import _wins
 
 
 class OrderResult(Enum):
@@ -57,7 +57,10 @@ def _geq(store: Store, memo: dict, g: FormId, h: FormId) -> bool:
 
 
 def _geq_compute(store: Store, memo: dict, g: FormId, h: FormId) -> bool:
-    if not outcome_geq(outcome(store, g), outcome(store, h)):
+    # The outcome proviso outcome_geq(outcome(g), outcome(h)) fails exactly
+    # when h wins where g does not, on the stored first-mover results.
+    lw, rw = store._left_wins, store._right_wins
+    if lw[h] and not lw[g] or rw[g] and not rw[h]:
         return False
     lefts, rights = store._lefts, store._rights
     for gr in rights[g]:

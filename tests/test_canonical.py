@@ -19,10 +19,13 @@ from dicots import (
     reduce_once,
     step_as_dict,
 )
-from dicots.canonical import _drops
+from dicots.canonical import _drops, _fixpoint
 from dicots.selftest import day2_population, day3_sample
 
 from _oracles import assert_replay_reaches_canonical, day2_by_hand
+
+# The module, which the package's canonical function shadows as an attribute.
+canonical_module = sys.modules["dicots.canonical"]
 
 # Identity except for {*|*}, which collapses to 0.
 DAY2_CANONICAL = {
@@ -221,21 +224,61 @@ def test_canonical_alone_records_no_traces():
 
 
 def test_domination_memo_is_pure():
-    """Every kept entry is what a fresh domination pass keeps for its key,
-    and canonical forms do not depend on which entries are there."""
+    """Every kept entry whose options are all canonical is what a fresh
+    domination pass keeps for its key, every other entry is its
+    canonicalised key's entry, and canonical forms do not depend on which
+    entries are there."""
     store, bare = Store(), Store()
     forms = day2_population(store) + day3_sample(store, 2000)
     day2_population(bare), day3_sample(bare, 2000)
     got = [canonical(store, g) for g in forms]
-    assert store.kept_memo
+    raw = 0
     for (opts, left), kept in store.kept_memo.items():
-        dropped = set(_drops(store, opts, left))
-        assert kept == tuple(x for x in opts if x not in dropped)
+        canon = tuple(sorted({canonical(store, x) for x in opts}))
+        if canon == opts:
+            dropped = set(_drops(store, opts, left))
+            assert kept == tuple(x for x in opts if x not in dropped)
+        else:
+            raw += 1
+            assert kept == store.kept_memo[(canon, left)]
+    assert 0 < raw < len(store.kept_memo)
     want = []
     for g in forms:
         bare.kept_memo.clear()
         want.append(canonical(bare, g))
     assert got == want
+
+
+def _stale_rewrites(store):
+    """Keys of the rewrite entries that differ from the canonical form the
+    fixpoint reaches from the key's form with a steps list, which neither
+    reads nor fills the memo."""
+    return [key for key, c in store.rewrite_memo.items() if _fixpoint(store, *key, []) != c]
+
+
+def test_rewrite_memo_is_pure(monkeypatch):
+    """canonical runs the reversal scan once per post-domination form, one
+    rewrite entry each. Every entry is what the fixpoint reaches from its
+    key's form without the memo, canonical forms do not depend on which
+    entries are there, and a wrong entry planted under one key is caught."""
+    store, bare = Store(), Store()
+    forms = day2_population(store) + day3_sample(store, 2000)
+    day2_population(bare), day3_sample(bare, 2000)
+    scans = []
+    reverse = canonical_module._reverse
+    monkeypatch.setattr(canonical_module, "_reverse", lambda s, g: scans.append(g) or reverse(s, g))
+    got = [canonical(store, g) for g in forms]
+    monkeypatch.undo()
+    assert len(scans) == len(set(scans)) == len(store.rewrite_memo) > 0
+    assert _stale_rewrites(store) == []
+    want = []
+    for g in forms:
+        bare.rewrite_memo.clear()
+        want.append(canonical(bare, g))
+    assert got == want
+    key, c = next(iter(store.rewrite_memo.items()))
+    store.rewrite_memo[key] = store.star if c == store.zero else store.zero
+    assert _stale_rewrites(store) == [key]
 
 
 def test_canonical_interns_no_form_between_steps():

@@ -24,8 +24,9 @@ from dicots import (
     report_as_dict,
 )
 
+from dicots.order import _geq_zero
 from dicots.outcomes import _wins
-from dicots.selftest import day3_sample
+from dicots.selftest import day2_population, day3_sample
 
 from _oracles import day2_by_hand, structure_key
 
@@ -209,6 +210,27 @@ def test_direct_oracle_interns_nothing():
     before = (len(store), len(store.sum_memo), len(store.conjugate_memo))
     assert not oracle_invertible(store, g)
     assert (len(store), len(store.sum_memo), len(store.conjugate_memo)) == before
+
+
+def test_only_the_conjugate_can_be_an_inverse():
+    """g + conjugate(k), the difference g - k decided on the id pair (g, k),
+    is 0 only when g = k, over every ordered pair of the distinct values of
+    day 2 and a day-3 sample; and g - g is 0 exactly when g is invertible.
+    So the conjugate is the only candidate inverse."""
+    store = Store()
+    forms = day2_population(store) + day3_sample(store, 300)
+    values = sorted({canonical(store, g) for g in forms})
+    memo = store.geq_zero_memo
+    zeros = [
+        (g, k)
+        for g in values
+        for k in values
+        if _geq_zero(store, memo, g, k) and _geq_zero(store, memo, k, g)
+    ]
+    assert len(values) == 174
+    assert [(g, k) for g, k in zeros if g != k] == []
+    assert len(zeros) == 87
+    assert {g for g, _ in zeros} == {g for g in values if is_invertible(store, g).verdict}
 
 
 def test_star2_follower_forces_non_invertibility(store, day2, day3_big):

@@ -3,6 +3,7 @@
 import itertools
 
 from dicots import (
+    Outcome,
     OrderResult,
     compare,
     eq,
@@ -57,6 +58,20 @@ def test_day2_order_equals_raw_in_context_definition(store, day2):
             for x in day2
         )
         assert geq(store, g, h) == holds_everywhere
+
+
+def test_geq_outcome_proviso_reads_the_stored_wins(store, day2):
+    """geq tests its outcome proviso on the first-mover results the store
+    keeps: h wins moving first where g does not. That is exactly
+    outcome_geq failing, on all 100 ordered day-2 pairs, which cover all
+    four outcomes; and geq never holds where the proviso fails."""
+    lw, rw = store._left_wins, store._right_wins
+    assert {outcome(store, g) for g in day2} == set(Outcome)
+    for g, h in itertools.product(day2, repeat=2):
+        fails = lw[h] and not lw[g] or rw[g] and not rw[h]
+        assert fails == (not outcome_geq(outcome(store, g), outcome(store, h)))
+        if fails:
+            assert not geq(store, g, h)
 
 
 def test_pinned_comparisons(store):
