@@ -10,8 +10,10 @@ Three families of rewrites preserve the value of a form while shrinking it:
 * reversibility through the endgame: when instead B is the endgame (the only
   option-less dicot) and G >= 0, drop A if some other winning Left move
   remains, or replace A by * when A was the unique winning move (mirrored
-  for Right); and when both a lone Left and a lone Right option reverse
-  through the endgame this way, the whole form collapses to 0.
+  for Right); and when the form left is {*|*}, it collapses to 0.
+
+Every reversibility test is one relation, B <= G, decided by ``geq`` (Siegel,
+"Misere canonical forms of partizan games"); B is 0 through the endgame.
 
 Applied bottom-up until nothing fires, these rewrites terminate in the
 unique smallest form of each equivalence class. Because that form is unique,
@@ -32,7 +34,7 @@ from enum import Enum
 from typing import Iterator
 
 from .forms import FormId, Store, check_id, notation
-from .order import _geq, geq_zero, leq_zero
+from .order import _geq
 
 
 class StepKind(Enum):
@@ -83,7 +85,8 @@ def _drops(store: Store, opts: tuple[FormId, ...], left: bool) -> Iterator[FormI
 def _reverse(store: Store, g: FormId) -> tuple[FormId, StepKind] | None:
     """First applicable reversibility rewrite of g at the root, with its
     kind, or None: with replacements (Left then Right), through the endgame
-    (Left then Right), then the two-singleton collapse to 0."""
+    (Left then Right), then the collapse of {*|*} to 0. Each test is one
+    ``geq`` call."""
     lefts, rights = store._lefts, store._rights
     left, right = lefts[g], rights[g]
     zero, star = store.zero, store.star
@@ -93,19 +96,13 @@ def _reverse(store: Store, g: FormId) -> tuple[FormId, StepKind] | None:
     for a in left:
         for b in rights[a]:
             if lefts[b] and _geq(store, memo, g, b):
-                repl = set(left)
-                repl.discard(a)
-                repl.update(lefts[b])
-                after = intern(tuple(sorted(repl)), right)
+                after = intern(tuple(sorted((set(left) - {a}) | set(lefts[b]))), right)
                 if after != g:
                     return after, StepKind.NON_ATOMIC_REVERSE_L
     for a in right:
         for b in lefts[a]:
             if rights[b] and _geq(store, memo, b, g):
-                repl = set(right)
-                repl.discard(a)
-                repl.update(rights[b])
-                after = intern(left, tuple(sorted(repl)))
+                after = intern(left, tuple(sorted((set(right) - {a}) | set(rights[b]))))
                 if after != g:
                     return after, StepKind.NON_ATOMIC_REVERSE_R
 
@@ -113,7 +110,7 @@ def _reverse(store: Store, g: FormId) -> tuple[FormId, StepKind] | None:
     # only form without Left options, so "A reverses through an option-less
     # position" means exactly: 0 is a Right option of A, and 0 <= g.
     # Left's winning moves: options where Right, moving first, loses.
-    if geq_zero(store, g):
+    if _geq(store, memo, g, zero):
         winners = [c for c in left if not store._right_wins[c]]
         for a in left:
             if zero not in rights[a]:
@@ -124,13 +121,10 @@ def _reverse(store: Store, g: FormId) -> tuple[FormId, StepKind] | None:
             # g >= 0 guarantees Left a winning first move, so the unique
             # winner must be a itself: bypassing it still leaves *.
             assert winners == [a]
-            repl = set(left)
-            repl.discard(a)
-            repl.add(star)
-            after = intern(tuple(sorted(repl)), right)
+            after = intern(tuple(sorted((set(left) - {a}) | {star})), right)
             if after != g:
                 return after, StepKind.ATOMIC_REVERSE_STAR_L
-    if leq_zero(store, g):
+    if _geq(store, memo, zero, g):
         winners = [c for c in right if not store._left_wins[c]]
         for a in right:
             if zero not in lefts[a]:
@@ -139,22 +133,16 @@ def _reverse(store: Store, g: FormId) -> tuple[FormId, StepKind] | None:
                 after = intern(left, tuple(x for x in right if x != a))
                 return after, StepKind.ATOMIC_REVERSE_DROP_R
             assert winners == [a]
-            repl = set(right)
-            repl.discard(a)
-            repl.add(star)
-            after = intern(left, tuple(sorted(repl)))
+            after = intern(left, tuple(sorted((set(right) - {a}) | {star})))
             if after != g:
                 return after, StepKind.ATOMIC_REVERSE_STAR_R
 
-    if len(left) == 1 and len(right) == 1:
-        a, c = left[0], right[0]
-        if (
-            zero in rights[a]
-            and zero in lefts[c]
-            and geq_zero(store, g)
-            and leq_zero(store, g)
-        ):
-            return zero, StepKind.SUBSTITUTION
+    # A lone Left option a with 0 among its Right options, in a g >= 0, is
+    # the unique winning move, so the block above replaces it by * unless it
+    # is * already; the same holds on the Right. So the two-singleton
+    # collapse to 0 is left only for {*|*}, which is both >= 0 and <= 0.
+    if left == right == (star,):
+        return zero, StepKind.SUBSTITUTION
 
     return None
 
@@ -167,7 +155,7 @@ def reduce_once(store: Store, g: FormId) -> tuple[FormId, ReductionStep] | None:
     is what makes its fixpoint the canonical form. The scan order is fixed
     so traces reproduce: domination (Left then Right), reversibility with
     replacements (Left then Right), reversibility through the endgame (Left
-    then Right), then the two-singleton collapse to 0; candidates are tried
+    then Right), then the collapse of {*|*} to 0; candidates are tried
     in stored (ascending id) order. `canonical` reaches the same fixpoint
     without interning a form per step, and the steps `explain` records are
     the ones this function takes, one call at a time.

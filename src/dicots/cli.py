@@ -18,7 +18,8 @@ run: the verb, its wall seconds and ``Store.stats()``. Stdout is the same
 with or without it.
 
 Exit status: 0 on success, 1 on domain errors (bad notation, one-sided
-forms, failed selftest) reported on stderr, 2 on usage errors.
+forms, expressions nested too deeply for Python's recursion limit, failed
+selftest) reported on stderr, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -60,7 +61,13 @@ _EXPR_VERBS = (
     "witness",
 )
 
-_DOMAIN_ERRORS = (ParseError, DicotViolation, UnknownId, BoundExceeded, PreconditionViolated)
+_DOMAIN_ERRORS = (
+    ParseError, DicotViolation, UnknownId, BoundExceeded, PreconditionViolated, RecursionError
+)
+
+
+def _message(exc: Exception) -> str:
+    return "expression nested too deeply" if isinstance(exc, RecursionError) else str(exc)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -132,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(store, args)
     except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 1
     finally:
         if args.stats:
@@ -179,7 +186,7 @@ def _dispatch(store: Store, args) -> int:
             outputs.append(_eval_expr(store, verb, expr, args))
         except _DOMAIN_ERRORS as exc:
             where = f"line {i + 1}: " if args.file else ""
-            print(f"error: {where}{exc}", file=sys.stderr)
+            print(f"error: {where}{_message(exc)}", file=sys.stderr)
             return 1
 
     if args.format == "json":

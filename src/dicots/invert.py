@@ -12,9 +12,9 @@ unique, so the scan is a property of the value: it runs once per canonical
 form and is memoized in the store's ``invert`` table. ``oracle_invertible``
 instead asks the order machinery directly whether G + conjugate(G) is
 equivalent to 0, on the difference G - G held as the pair (G, G) of ids.
-Neither route builds a sum or a conjugate, and the two share only the win
-solver. They must agree; the test suite sweeps that agreement across whole
-populations.
+Neither route builds a sum or a conjugate, and besides the interned forms
+the two share only the win solver and its ``first_wins`` table. They must
+agree; the test suite sweeps that agreement across whole populations.
 
 ``lemma_witness`` and ``lemma_check`` exercise the fact that strictly
 positive forms stay non-negative in the presence of any pair H - H: when

@@ -17,7 +17,9 @@ and never interned: Left's options are (aL, b) and (a, bR), Right's are
 (aR, b) and (a, bL). a - b >= 0 when Left wins moving first and every Right
 option admits a Left response that is again >= 0. ``geq_zero(g)`` is the
 pair (g, 0) and ``leq_zero(g)`` the pair (0, g), because g <= 0 exactly when
-its conjugate 0 - g is >= 0. ``eq_zero`` is both at once.
+its conjugate 0 - g is >= 0. ``eq_zero`` is both at once. This zero test
+serves the invertibility oracle and the public zero tests alone; canonical
+forms compare with 0 through ``geq``, so the two routes stay independent.
 """
 
 from __future__ import annotations

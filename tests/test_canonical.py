@@ -19,7 +19,7 @@ from dicots import (
     reduce_once,
     step_as_dict,
 )
-from dicots.canonical import _drops, _fixpoint
+from dicots.canonical import _drops, _fixpoint, _reverse
 from dicots.selftest import day2_population, day3_sample
 
 from _oracles import assert_replay_reaches_canonical, day2_by_hand
@@ -213,6 +213,24 @@ def test_explain_records_the_steps_reduce_once_takes(store, day2, day3_big, raw_
                 want.append((step.kind, step.before, step.after))
             got = [(s.kind, s.before, s.after) for s in store.canonical_steps_memo[f]]
             assert got == want, notation(store, f)
+
+
+def test_only_star_star_collapses_to_zero(store, day2, day3_big, raw_forms):
+    """The collapse to 0 fires at {*|*} alone: on any other form whose lone
+    options reverse through the endgame, the endgame rewrite fires first.
+    Checked on every form of these traces and every follower of the inputs."""
+    forms = set()
+    for g in day2 + day3_big[:2000] + raw_forms:
+        forms.update(store.followers(g))
+        for step in explain(store, g):
+            forms.update((step.before, step.after))
+    star_star = parse(store, "{*|*}")
+    assert star_star in forms
+    for f in forms:
+        hit = _reverse(store, f)
+        collapses = hit is not None and hit[1] is StepKind.SUBSTITUTION
+        assert collapses == (f == star_star), notation(store, f)
+    assert _reverse(store, star_star) == (store.zero, StepKind.SUBSTITUTION)
 
 
 def test_canonical_alone_records_no_traces():

@@ -177,6 +177,26 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         assert err.startswith("error: ") and err.count("\n") == 1, argv
 
 
+def test_deep_nesting_exits_1(capsys, tmp_path):
+    """A 1,000-deep chain {...{{0|0}|0}...|0} overflows Python's recursion
+    limit in the parser, which recurses per brace level: each verb reports
+    one error line and exits 1, naming the line in --file mode, with no
+    traceback."""
+    deep = "{" * 999 + "{0|0}" + "|0}" * 999
+    batch = tmp_path / "deep.txt"
+    batch.write_text(f"*\n{deep}\n", encoding="utf-8")
+    cases = [
+        (["outcome", deep], ""),
+        (["canonical", deep], ""),
+        (["invertible", deep], ""),
+        (["compare", deep, "0"], ""),
+        (["outcome", "--file", str(batch)], "line 2: "),
+    ]
+    for argv, where in cases:
+        want = (1, "", f"error: {where}expression nested too deeply\n")
+        assert run_cli(capsys, *argv) == want, argv[0]
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["outcome"])

@@ -191,9 +191,12 @@ def test_report_as_dict(store):
     assert "witness" not in d
 
 
-def test_structural_criterion_agrees_with_direct_oracle(store, day2, day3_big):
-    for g in day2 + day3_big[:500]:
-        assert is_invertible(store, g).verdict == oracle_invertible(store, canonical(store, g))
+def test_structural_criterion_agrees_with_direct_oracle(store, day2, day3_big, raw_forms):
+    """The oracle runs on each form as given, and on its canonical form."""
+    for g in day2 + day3_big[:500] + raw_forms:
+        verdict = is_invertible(store, g).verdict
+        assert verdict == oracle_invertible(store, g)
+        assert verdict == oracle_invertible(store, canonical(store, g))
 
 
 def test_direct_oracle_agrees_with_general_geq_on_the_built_sum(store, day2, day3_big, raw_forms):
@@ -231,6 +234,46 @@ def test_only_the_conjugate_can_be_an_inverse():
     assert [(g, k) for g, k in zeros if g != k] == []
     assert len(zeros) == 87
     assert {g for g, _ in zeros} == {g for g in values if is_invertible(store, g).verdict}
+
+
+def test_the_routes_share_only_the_win_solver():
+    """Corrupting either route's own tables moves none of the other route's
+    verdicts, over day 2 and a day-3 sample, so a fault in one route's
+    kernel cannot hide behind the other. first_wins, the win solver's
+    table, is the one table both routes fill."""
+    store = Store()
+    forms = day2_population(store) + day3_sample(store, 2000)
+    structural = [is_invertible(store, g).verdict for g in forms]
+    direct = [oracle_invertible(store, g) for g in forms]
+    assert structural == direct
+    # The oracle's zero tests flipped; the structural route starts afresh.
+    for key, hit in store.geq_zero_memo.items():
+        store.geq_zero_memo[key] = not hit
+    for table in (
+        store.canonical_memo,
+        store.kept_memo,
+        store.rewrite_memo,
+        store.geq_memo,
+        store.invert_memo,
+        store.followers_memo,
+    ):
+        table.clear()
+    assert [is_invertible(store, g).verdict for g in forms] == structural
+    # The structural route's comparisons flipped and every form's canonical
+    # form set to 0; the oracle starts afresh on the forms as given.
+    for key, hit in store.geq_memo.items():
+        store.geq_memo[key] = not hit
+    for key in store.canonical_memo:
+        store.canonical_memo[key] = store.zero
+    store.geq_zero_memo.clear()
+    assert [oracle_invertible(store, g) for g in forms] == direct
+    filled = []
+    for route in (is_invertible, oracle_invertible):
+        fresh = Store()
+        for g in day2_population(fresh):
+            route(fresh, g)
+        filled.append({name for name, size in fresh.stats().items() if size and name != "forms"})
+    assert filled[0] & filled[1] == {"first_wins"}
 
 
 def test_star2_follower_forces_non_invertibility(store, day2, day3_big):
