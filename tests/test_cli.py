@@ -1,12 +1,15 @@
 """Command line behavior: exact output, formats, batching, exit codes."""
 
+import contextlib
+import io
 import json
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dicots.cli import main
-from dicots.forms import MEMO_TABLES
+from dicots.forms import MEMO_TABLES, DicotViolation, ParseError, Store, notation, parse
 
 DAY2_CANONICAL_NOTATIONS = [
     "0",
@@ -261,3 +264,44 @@ def test_stats_flag_adds_one_json_line_to_stderr(capsys, argv):
     assert doc["wall_s"] >= 0
     assert list(doc["stats"]) == ["forms", *MEMO_TABLES]
     assert doc["stats"]["forms"] >= 2
+
+
+# Raw text over the expression alphabet rarely parses, so half the examples
+# are built from the grammar (one-sided braces included) and rendered.
+_ATOMS = st.sampled_from(["0", "*", "*2", "{|}", "{0|}", "{|*}"])
+_EXPRESSIONS = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.builds(lambda a, b: f"{a}+{b}", inner, inner),
+        st.builds(lambda a: f"-{a}", inner),
+        st.builds(
+            lambda ls, rs: "{" + ",".join(ls) + "|" + ",".join(rs) + "}",
+            st.lists(inner, max_size=2),
+            st.lists(inner, max_size=2),
+        ),
+    ),
+    max_leaves=6,
+)
+FUZZ_TEXT = st.one_of(
+    st.text(alphabet="0*{}|,+- 2", max_size=40),
+    _EXPRESSIONS.filter(lambda t: len(t) <= 40),
+)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(FUZZ_TEXT)
+def test_fuzzed_text_parses_round_trip_or_raises_a_domain_error(text):
+    """Text over the expression alphabet either parses to a form whose
+    notation parses back to it, or raises ParseError or DicotViolation; the
+    CLI answers it or exits 1, with no traceback."""
+    store = Store()
+    try:
+        g = parse(store, text)
+    except (ParseError, DicotViolation):
+        pass
+    else:
+        assert parse(store, notation(store, g)) == g
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["outcome", "--", text])
+    assert rc in (0, 1), (text, err.getvalue())

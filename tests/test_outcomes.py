@@ -153,3 +153,17 @@ def test_pair_wins_match_brute_minimax_on_the_built_difference(store, day2):
         d = store.sum(a, store.conjugate(b))
         assert _wins(store, store.first_wins_memo, a, b) == brute_wins(store, d, True, memo)
         assert _wins(store, store.first_wins_memo, b, a) == brute_wins(store, d, False, memo)
+
+
+def test_adjoint_law_on_built_sums_matches_the_pair_route(store, day2, day3_big):
+    """g + adjoint(g) is P (the adjoint law), checked by brute minimax on the
+    built sum; the selftest decides it on the pair (g, conjugate(adjoint(g)))
+    instead, and both movers there agree with the first-mover results the
+    store fixed when it interned the sum."""
+    memo: dict = {}
+    for g in day2 + day3_big[:300]:
+        s = store.sum(g, store.adjoint(g))
+        assert brute_outcome(store, s, memo) is Outcome.P, g
+        c = store.conjugate(store.adjoint(g))
+        assert _wins(store, store.first_wins_memo, g, c) == left_wins_moving_first(store, s)
+        assert _wins(store, store.first_wins_memo, c, g) == right_wins_moving_first(store, s)

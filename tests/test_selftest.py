@@ -2,7 +2,7 @@
 
 import dataclasses
 
-from dicots import Store, canonical, is_invertible, notation, selftest
+from dicots import Outcome, Store, canonical, is_invertible, notation, outcome, selftest
 from dicots.selftest import CheckResult, day2_population, day3_sample, format_line, iter_checks
 
 CHECK_NAMES = [
@@ -69,3 +69,19 @@ def test_corollary_check_fails_on_a_non_invertible_follower(monkeypatch):
     assert not r.passed
     assert r.detail.split(":")[0].endswith(f" of {len(population)} failed")
     assert f"{notation(store, c)}: non-invertible follower {notation(store, f)}" in r.detail
+
+
+def test_adjoint_law_check_fails_on_a_wrong_adjoint():
+    """With adjoint(g) replaced by 0 for one nonzero form g whose outcome is
+    not P, g + 0 is not P, so the pair route must report that form."""
+    store = Store()
+    day2 = day2_population(store)
+    day3 = day3_sample(store, 300)
+    sample = (day2 + day3)[:50]
+    g = next(x for x in sample if x != store.zero and outcome(store, x) is not Outcome.P)
+    adjoint = store.adjoint
+    store.adjoint = lambda x: store.zero if x == g else adjoint(x)
+    results = selftest.check_algebraic_properties(store, day2, day3, 50)
+    r = next(r for r in results if r.name == "adjoint-law")
+    assert not r.passed
+    assert r.detail == f"1 of 50 failed: {notation(store, g)}"
