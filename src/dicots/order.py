@@ -20,6 +20,14 @@ pair (g, 0) and ``leq_zero(g)`` the pair (0, g), because g <= 0 exactly when
 its conjugate 0 - g is >= 0. ``eq_zero`` is both at once. This zero test
 serves the invertibility oracle and the public zero tests alone; canonical
 forms compare with 0 through ``geq``, so the two routes stay independent.
+
+The verdicts do not depend on the search order, but the work does, so the
+zero test answers from pairs many forms share before pairs of one form: the
+win solver reads endgame pairs (a, 0) and (0, b) from the first-mover
+results fixed at interning, Left's answers try the mirror self-pair
+first and then the moves on the newer form of the pair, and Left's
+first-mover win on a - b, a search of that difference alone, is tested
+only after every Right option has its answer.
 """
 
 from __future__ import annotations
@@ -102,33 +110,56 @@ def leq_zero(store: Store, g: FormId) -> bool:
 
 
 def _geq_zero(store: Store, memo: dict, a: FormId, b: FormId) -> bool:
-    """True iff the difference a - b is >= 0, decided on the pair (a, b)."""
+    """True iff the difference a - b is >= 0, decided on the pair (a, b).
+
+    Right's threats are answered before Left's first-mover win is tested:
+    the answers are mostly pairs shared by many differences and already in
+    the memo, while ``_wins`` on (a, b) is a search of this difference alone.
+    """
     key = (a, b)
     hit = memo.get(key)
     if hit is None:
-        hit = _wins(store, store.first_wins_memo, a, b)
-        if hit:
-            for ar in store._rights[a]:
-                if not _left_answers(store, memo, ar, b):
+        hit = True
+        for ar in store._rights[a]:
+            if not _left_answers(store, memo, ar, b):
+                hit = False
+                break
+        else:
+            for bl in store._lefts[b]:
+                if not _left_answers(store, memo, a, bl):
                     hit = False
                     break
-            else:
-                for bl in store._lefts[b]:
-                    if not _left_answers(store, memo, a, bl):
-                        hit = False
-                        break
+        if hit:
+            hit = _wins(store, store.first_wins_memo, a, b)
         memo[key] = hit
     return hit
 
 
 def _left_answers(store: Store, memo: dict, x: FormId, y: FormId) -> bool:
-    """True iff Left has a move from x - y to a difference that is >= 0."""
-    for xl in store._lefts[x]:
-        if _geq_zero(store, memo, xl, y):
+    """True iff Left has a move from x - y to a difference that is >= 0.
+
+    The mirror answer goes first: when y is a Left option of x, Left can
+    move to y - y, and when x is a Right option of y, to x - x. Then come
+    the answers that move on the newer side, the one with the larger id,
+    then those that move on the older side, each in stored order. Options
+    are older than their form, so the earlier answers are pairs of older
+    forms, which many differences share and the memo mostly holds.
+    """
+    xls, yrs = store._lefts[x], store._rights[y]
+    mirror = y if y in xls else x if x in yrs else None
+    if mirror is not None and _geq_zero(store, memo, mirror, mirror):
+        return True
+    if x < y:
+        for yr in yrs:
+            if yr != mirror and _geq_zero(store, memo, x, yr):
+                return True
+    for xl in xls:
+        if xl != mirror and _geq_zero(store, memo, xl, y):
             return True
-    for yr in store._rights[y]:
-        if _geq_zero(store, memo, x, yr):
-            return True
+    if x >= y:
+        for yr in yrs:
+            if yr != mirror and _geq_zero(store, memo, x, yr):
+                return True
     return False
 
 

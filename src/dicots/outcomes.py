@@ -80,8 +80,14 @@ def _wins(store: Store, memo: dict, a: FormId, b: FormId) -> bool:
     (a, bR). Right to move on x - y is Left to move on its conjugate y - x,
     so one table keyed (a, b) holds both movers. No move means the opponent
     moved last and loses; otherwise some move must leave the opponent, now
-    to move, losing.
+    to move, losing. A pair with the endgame on one side is a form the store
+    has interned, so it is read from the first-mover results fixed then and
+    never enters the table.
     """
+    if b == 0:  # a - 0 is a: the stored first-mover fact
+        return store._left_wins[a]
+    if a == 0:  # 0 - b is b with Right to move
+        return store._right_wins[b]
     key = (a, b)
     hit = memo.get(key)
     if hit is None:

@@ -204,16 +204,22 @@ def test_stats_counts_forms_and_every_memo_table():
 # replacement tests do, so geq_zero holds only the oracle's pairs and
 # first_wins only the pairs the oracle and the follower scan ask about (was
 # geq 437, geq_zero 1,333 and first_wins 3,593 while the endgame reversals
-# used the oracle's zero test).
+# used the oracle's zero test). The win solver reads a pair with 0 on either
+# side from the first-mover results fixed at interning, so first_wins holds
+# no endgame pair; the zero test tries the mirror answer (y, y) or (x, x)
+# first, a self-pair that many forms share, then the answers that move on
+# the pair's newer form, and tests Left's first-mover win on a pair only
+# after Right's threats are answered (was first_wins 3,449 and geq_zero 944
+# with the win test first and answers in stored order).
 PINNED_SLICE_STATS = {
     "forms": 616,
     "sum": 0,
     "conjugate": 0,
     "followers": 174,
     "adjoint": 0,
-    "first_wins": 3449,
+    "first_wins": 2009,
     "geq": 829,
-    "geq_zero": 944,
+    "geq_zero": 520,
     "canonical": 310,
     "canonical_steps": 0,
     "kept": 698,
@@ -230,6 +236,7 @@ def test_work_counts_are_pinned():
         is_invertible(store, g)
         oracle_invertible(store, g)
     assert store.stats() == PINNED_SLICE_STATS
+    assert not [key for key in store.first_wins_memo if 0 in key]
 
 
 def _chain(store, depth):

@@ -15,6 +15,8 @@ from dicots import (
     outcome_geq,
     parse,
 )
+from dicots.order import _geq_zero
+from dicots.selftest import day3_sample
 
 from _oracles import day2_by_hand
 
@@ -129,6 +131,22 @@ def test_zero_specializations_agree_with_geq(store, day2, day3_big):
     for g in day2 + day3_big[:300]:
         assert geq_zero(store, g) == geq(store, g, store.zero)
         assert leq_zero(store, g) == geq(store, store.zero, g)
+
+
+def test_pair_zero_test_agrees_with_geq_on_the_built_difference(store, day2):
+    """_geq_zero decides a - b on the id pair (a, b); geq decides the
+    interned sum a + conjugate(b) against 0. Checked on every day-2 pair,
+    on 40 day-3 forms against each day-2 form both ways, and on the
+    self-pairs of 300 day-3 forms: 1,200 pairs."""
+    day3 = day3_sample(store, 300)
+    pairs = list(itertools.product(day2, repeat=2))
+    pairs += [p for g in day3[:40] for x in day2 for p in ((g, x), (x, g))]
+    pairs += [(g, g) for g in day3]
+    assert len(pairs) == 1200
+    for a, b in pairs:
+        difference = store.sum(a, store.conjugate(b))
+        want = geq(store, difference, store.zero)
+        assert _geq_zero(store, store.geq_zero_memo, a, b) == want, (a, b)
 
 
 def test_leq_zero_is_geq_zero_of_the_conjugate(store, day2, day3_big, raw_forms):

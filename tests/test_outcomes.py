@@ -78,17 +78,20 @@ def test_outcome_agrees_with_moving_first_flags(store, day2, day3_big):
 def test_outcomes_match_brute_minimax(store, day2, day3_big, raw_forms):
     """Over enumerated forms, and sums and conjugates through the followers
     of raw_forms. The first-mover results fixed at interning also equal the
-    pair solver's on (g, 0) and (0, g)."""
+    pair solver's on (g, 0) and (0, g), which it reads from them: a - 0 is
+    a, and 0 - b is b with Right to move, so neither enters its table."""
     forms = set(day2 + day3_big[:500])
     for g in raw_forms:
         forms.update(store.followers(g))
     memo = {}
     first = store.first_wins_memo
+    before = len(first)
     z = store.zero
     for g in sorted(forms):
         assert outcome(store, g) is brute_outcome(store, g, memo)
         assert left_wins_moving_first(store, g) == _wins(store, first, g, z)
         assert right_wins_moving_first(store, g) == _wins(store, first, z, g)
+    assert len(first) == before
 
 
 def test_outcome_and_birthday_take_deep_forms():
