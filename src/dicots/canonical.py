@@ -183,17 +183,16 @@ def _kept(store: Store, opts: tuple[FormId, ...], left: bool) -> tuple[FormId, .
     replaced by its canonical form, memoized per (options, side) in the
     store's ``kept`` table (filled only by ``_fixpoint``).
 
-    ``opts`` is the tuple as the form holds it: each option's canonical form
-    must be in the memo already, or the option must be canonical itself, as
-    every option of a later round is. When canonicalising changes the tuple,
-    the canonical tuple's entry is stored under the raw key as well, so a
-    domination scan runs once per canonical tuple and side.
+    ``opts`` is the tuple as the form holds it, and each option has its
+    canonical form in the memo already. When canonicalising changes the
+    tuple, the canonical tuple's entry is stored under the raw key as well,
+    so a domination scan runs once per canonical tuple and side.
     """
     key = (opts, left)
     kept = store.kept_memo.get(key)
     if kept is None:
         memo = store.canonical_memo
-        canon = tuple(sorted({memo.get(x, x) for x in opts}))
+        canon = tuple(sorted({memo[x] for x in opts}))
         if canon != opts:
             kept = _kept(store, canon, left)
         else:
@@ -214,24 +213,24 @@ def _fixpoint(
     without interning the forms in between.
 
     Each round drops every dominated option at once (Left, then Right, on
-    the options' canonical forms) and looks the pair left over up in the
-    store's ``rewrite`` table. A hit ends the loop. Otherwise it interns
-    only that post-domination form, which the reversibility tests take as
-    an id, and a reversal's result starts the next round. Every round's
-    post-domination form has the value of the input, so when the loop ends
-    its canonical form is stored under every round's pair: the reversal
-    scan runs once per post-domination form.
+    the options' canonical forms) and interns the form left over, which the
+    reversibility tests take as an id. Its ``canonical`` entry ends the
+    loop; without one, a reversal's result starts the next round. These
+    forms all have the input's value, and canonical forms are unique, so
+    the result is stored under each, the last round's first (so it is a key
+    before any form maps to it): one reversal scan per post-domination form.
+    Their options, canonical forms and their followers, are keys already.
 
     Given a ``steps`` list, ``left`` and ``right`` must be canonical
     already, and it appends the route reduce_once takes: each round interns
     the form holding its options, then each dropped option is one
     domination step (Left, then Right, in ascending id order, as ``_drops``
     finds them), then comes the reversal's step. This route neither reads
-    nor fills ``rewrite``, so every round is recorded.
+    nor fills ``canonical``, so every round is recorded.
     """
     lefts, rights = store._lefts, store._rights
     intern = store._intern_sorted
-    rewrites = store.rewrite_memo
+    memo = store.canonical_memo
     seen = []
     while True:
         kept_left = _kept(store, left, True)
@@ -250,13 +249,12 @@ def _fixpoint(
                     after = intern(left, right)
                     steps.append(ReductionStep(StepKind.DOMINATION_R, g, after))
                     g = after
-        else:
-            key = (kept_left, kept_right)
-            g = rewrites.get(key)
-            if g is not None:
-                break
-            seen.append(key)
         g = intern(kept_left, kept_right)
+        if steps is None:
+            if g in memo:
+                g = memo[g]
+                break
+            seen.append(g)
         hit = _reverse(store, g)
         if hit is None:
             break
@@ -264,8 +262,8 @@ def _fixpoint(
             steps.append(ReductionStep(hit[1], g, hit[0]))
         g = hit[0]
         left, right = lefts[g], rights[g]
-    for key in seen:
-        rewrites[key] = g
+    for x in reversed(seen):
+        memo[x] = g
     return g
 
 
@@ -289,17 +287,15 @@ def canonical(store: Store, g: FormId) -> FormId:
     dropped all at once, and no form is interned for a step on the way
     (``explain`` has the fixpoint record them when asked).
 
-    The fixpoint takes each follower's options as the follower holds them.
-    It canonicalises them inside its domination scan, which is memoized per
-    (option tuple, side) in the ``kept`` table, so a tuple met again costs
-    one lookup. Its reversal scan is memoized per post-domination option
-    pair in the ``rewrite`` table (filled only by the fixpoint: its size
-    counts the reversal scans canonicalisation made), so followers that
-    agree once dominated options are gone share one scan.
+    The fixpoint takes each follower's options as the follower holds them
+    and canonicalises them inside its domination scan, memoized per (option
+    tuple, side) in the ``kept`` table. It also memoizes every form left
+    after domination, so followers that agree once dominated options are
+    gone share one reversal scan.
 
     When every option of g already has its canonical form, so has every
-    proper follower (an option's entry is published only after its own
-    followers'), and g is the one follower left: it is processed alone,
+    proper follower (an entry is published only after those of its form's
+    options), and g is the one follower left: it is processed alone,
     without walking or memoizing its followers. The order of work, and so
     the ids interned, are those of the full walk.
     """

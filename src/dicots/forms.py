@@ -78,7 +78,6 @@ MEMO_TABLES = (
     "canonical",
     "canonical_steps",
     "kept",
-    "rewrite",
     "invert",
 )
 
@@ -125,7 +124,6 @@ class Store:
         self.canonical_memo: dict = {}
         self.canonical_steps_memo: dict = {}
         self.kept_memo: dict = {}
-        self.rewrite_memo: dict = {}
         self.invert_memo: dict = {}
         self.zero = self.intern((), ())
         self.star = self.intern((self.zero,), (self.zero,))

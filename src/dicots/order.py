@@ -136,7 +136,9 @@ def _geq_zero(store: Store, memo: dict, a: FormId, b: FormId) -> bool:
 
 
 def _left_answers(store: Store, memo: dict, x: FormId, y: FormId) -> bool:
-    """True iff Left has a move from x - y to a difference that is >= 0.
+    """True iff Left has a move from x - y to a difference that is >= 0;
+    never on x - x, by induction on x: Right answers xL - x with xL - xL
+    and x - xR with xR - xR, from which Left has no such move.
 
     The mirror answer goes first: when y is a Left option of x, Left can
     move to y - y, and when x is a Right option of y, to x - x. Then come
@@ -145,6 +147,8 @@ def _left_answers(store: Store, memo: dict, x: FormId, y: FormId) -> bool:
     are older than their form, so the earlier answers are pairs of older
     forms, which many differences share and the memo mostly holds.
     """
+    if x == y:
+        return False
     xls, yrs = store._lefts[x], store._rights[y]
     mirror = y if y in xls else x if x in yrs else None
     if mirror is not None and _geq_zero(store, memo, mirror, mirror):

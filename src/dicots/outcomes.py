@@ -91,14 +91,13 @@ def _wins(store: Store, memo: dict, a: FormId, b: FormId) -> bool:
     key = (a, b)
     hit = memo.get(key)
     if hit is None:
-        al, br = store._lefts[a], store._rights[b]
-        hit = not al and not br
-        for x in al:
+        hit = False  # Left has a move: a and b are nonzero dicots
+        for x in store._lefts[a]:
             if not _wins(store, memo, b, x):
                 hit = True
                 break
         else:
-            for y in br:
+            for y in store._rights[b]:
                 if not _wins(store, memo, y, a):
                     hit = True
                     break

@@ -120,7 +120,9 @@ def check_reference_positions(store: Store) -> CheckResult:
 
 
 def check_inversion_characterization(store: Store, population: list[int]) -> CheckResult:
-    """The follower scan and the direct zero test must agree on every form."""
+    """The follower scan and the direct zero test must agree on every form.
+    The zero test runs on canonical(g): on g itself it would cost about half
+    a full selftest more. Tier-1 runs it on raw forms as well."""
     t0 = time.perf_counter()
     failures: list[str] = []
     for g in population:

@@ -1,7 +1,25 @@
+import os
+import threading
+
 import pytest
 
 from dicots import Store, parse
 from dicots.selftest import day2_population, day3_sample
+
+
+# Seconds a test may run before the whole run exits with status 1. A kernel
+# that loops forever then fails tier-1 instead of hanging it; pytest's
+# faulthandler_timeout (pyproject.toml) has printed the traceback by then.
+HANG_BUDGET = 120
+
+
+@pytest.fixture(autouse=True)
+def _exit_on_hang():
+    timer = threading.Timer(HANG_BUDGET, os._exit, (1,))
+    timer.daemon = True
+    timer.start()
+    yield
+    timer.cancel()
 
 
 @pytest.fixture(scope="session")

@@ -108,19 +108,19 @@ def test_reduce_once_preserves_value_even_with_raw_options(store, day3_big):
     assert fired > 0
 
 
-def test_reduce_once_ignores_the_rewrite_memo():
-    """The rewrite and kept memos belong to canonical's fixpoint loop, where
-    every proper follower is canonical; the public reduce_once neither reads
-    nor fills them. The second form starts with a domination step."""
+def test_reduce_once_ignores_the_fixpoint_memos():
+    """The canonical and kept memos belong to canonical's fixpoint loop,
+    where every proper follower is canonical; the public reduce_once neither
+    reads nor fills them. The second form starts with a domination step."""
     for text in ("{{*|*}|{*|*}}", "{0,{0,*|*}|0}"):
         store = Store()
         g = parse(store, text)
         hit = reduce_once(store, g)
         assert hit is not None
-        assert store.rewrite_memo == store.kept_memo == {}
-        # Memo entries claiming g's option pair is its own fixpoint and that
+        assert store.canonical_memo == store.kept_memo == {}
+        # Memo entries claiming g is its own canonical form and that
         # domination keeps every option.
-        store.rewrite_memo[(store.left(g), store.right(g))] = g
+        store.canonical_memo[g] = g
         store.kept_memo[(store.left(g), True)] = store.left(g)
         assert reduce_once(store, g) == hit
         assert eq(store, g, hit[0])
@@ -267,18 +267,22 @@ def test_domination_memo_is_pure():
     assert got == want
 
 
-def _stale_rewrites(store):
-    """Keys of the rewrite entries that differ from the canonical form the
-    fixpoint reaches from the key's form with a steps list, which neither
+def _stale_entries(store, forms):
+    """The forms among ``forms`` whose canonical entry differs from what the
+    fixpoint reaches from their options with a steps list, which neither
     reads nor fills the memo."""
-    return [key for key, c in store.rewrite_memo.items() if _fixpoint(store, *key, []) != c]
+    memo = store.canonical_memo
+    return [x for x in forms if _fixpoint(store, store.left(x), store.right(x), []) != memo[x]]
 
 
-def test_rewrite_memo_is_pure(monkeypatch):
-    """canonical runs the reversal scan once per post-domination form, one
-    rewrite entry each. Every entry is what the fixpoint reaches from its
-    key's form without the memo, canonical forms do not depend on which
-    entries are there, and a wrong entry planted under one key is caught."""
+def test_canonical_memo_is_pure_and_closed(monkeypatch):
+    """canonical runs the reversal scan once per post-domination form and
+    stores that form's canonical form under its id. Every such entry is what
+    the fixpoint reaches from the form's options without the memo; every
+    key's options are keys, and every canonical form is its own entry;
+    canonical forms do not depend on whether the entries of forms that are
+    no input's followers are there; and a wrong entry planted under one
+    scanned form is caught."""
     store, bare = Store(), Store()
     forms = day2_population(store) + day3_sample(store, 2000)
     day2_population(bare), day3_sample(bare, 2000)
@@ -287,16 +291,23 @@ def test_rewrite_memo_is_pure(monkeypatch):
     monkeypatch.setattr(canonical_module, "_reverse", lambda s, g: scans.append(g) or reverse(s, g))
     got = [canonical(store, g) for g in forms]
     monkeypatch.undo()
-    assert len(scans) == len(set(scans)) == len(store.rewrite_memo) > 0
-    assert _stale_rewrites(store) == []
-    want = []
+    memo = store.canonical_memo
+    assert len(scans) == len(set(scans)) > 0
+    assert set(scans) <= set(memo)
+    assert _stale_entries(store, scans) == []
+    for x, c in memo.items():
+        assert memo[c] == c
+        assert all(y in memo for y in store.left(x) + store.right(x))
+    want, walked = [], set()
     for g in forms:
-        bare.rewrite_memo.clear()
+        for x in [x for x in bare.canonical_memo if x not in walked]:
+            del bare.canonical_memo[x]
         want.append(canonical(bare, g))
+        walked.update(bare.followers(g))
     assert got == want
-    key, c = next(iter(store.rewrite_memo.items()))
-    store.rewrite_memo[key] = store.star if c == store.zero else store.zero
-    assert _stale_rewrites(store) == [key]
+    x = next(x for x in scans if memo[x] != x)
+    memo[x] = store.star if memo[x] == store.zero else store.zero
+    assert _stale_entries(store, scans) == [x]
 
 
 def test_canonical_interns_no_form_between_steps():
@@ -374,9 +385,14 @@ def test_results_do_not_depend_on_store_history():
     texts = [notation(fresh, g) for g in day3_sample(fresh, 300)]
     warm = Store()
     day2_population(warm)
+    inputs = []
     for g in enumerate_dicots(warm, 3, limit=1500, seed=ENUMERATION_SEED + 1):
         is_invertible(warm, g)
-    assert warm.stats()["rewrite"] > 0
+        inputs.append(g)
+    # The warm store holds the canonical form of some form that is no
+    # input's follower: one the fixpoint met after domination.
+    walked = set().union(*(warm.followers(g) for g in inputs))
+    assert set(warm.canonical_memo) - walked
     for text in texts:
         views = []
         for s in (fresh, warm):

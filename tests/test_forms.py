@@ -170,10 +170,12 @@ def test_stats_counts_forms_and_every_memo_table():
     assert stats["forms"] == len(store)
     for name in MEMO_TABLES:
         assert stats[name] == len(store.cache(name))
-    # Deterministic work: g's four followers canonicalised, one follower
-    # scan over its canonical form {0,*|0}, no self-pair interned, and no
-    # trace recorded until explain asks for one per follower.
-    assert stats["canonical"] == len(store.followers(g)) == 4
+    # Deterministic work: g's four followers canonicalised, and the form
+    # {0,*|0} left after domination stored as its own canonical form; one
+    # follower scan over that form, no self-pair interned, and no trace
+    # recorded until explain asks for one per follower.
+    assert stats["canonical"] == len(store.followers(g)) + 1 == 5
+    assert store.canonical_memo[report.canonical] == report.canonical
     assert stats["canonical_steps"] == 0
     assert stats["invert"] == 1
     assert stats["sum"] == stats["conjugate"] == 0
@@ -187,7 +189,7 @@ def test_stats_counts_forms_and_every_memo_table():
 
 # Store.stats() after the slice in test_work_counts_are_pinned. A memo miss
 # inserts one entry, so these are the work the kernels do; the search order
-# of the win solver, the zero tests, geq and the rewrite scans fixes them.
+# of the win solver, the zero tests, geq and the reversal scans fixes them.
 # A change to any of those orders must explain its diff here. Birthdays and
 # outcomes are fixed at interning and fill no table, so first_wins holds only
 # the pairs the zero tests and the invertibility scan ask about. The follower
@@ -197,7 +199,9 @@ def test_stats_counts_forms_and_every_memo_table():
 # asked for, so followers holds just the canonical forms the scan walked.
 # canonical interns no form per rewrite step and records no trace
 # (canonical_steps stays empty until explain), its reversal scan runs
-# once per post-domination option pair (rewrite), and its domination scan
+# once per post-domination form, whose canonical form it also stores in
+# canonical (was canonical 310 plus a rewrite table of 257 entries keyed by
+# the post-domination option pair), and its domination scan
 # once per canonical option tuple and side; kept also maps each raw tuple
 # that canonicalises to another onto that tuple's entry. canonical's
 # reversal scan compares with 0 through geq, as its domination and
@@ -220,10 +224,9 @@ PINNED_SLICE_STATS = {
     "first_wins": 2009,
     "geq": 829,
     "geq_zero": 520,
-    "canonical": 310,
+    "canonical": 556,
     "canonical_steps": 0,
     "kept": 698,
-    "rewrite": 257,
     "invert": 174,
 }
 

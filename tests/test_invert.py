@@ -252,7 +252,6 @@ def test_the_routes_share_only_the_win_solver():
     for table in (
         store.canonical_memo,
         store.kept_memo,
-        store.rewrite_memo,
         store.geq_memo,
         store.invert_memo,
         store.followers_memo,

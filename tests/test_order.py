@@ -149,6 +149,25 @@ def test_pair_zero_test_agrees_with_geq_on_the_built_difference(store, day2):
         assert _geq_zero(store, store.geq_zero_memo, a, b) == want, (a, b)
 
 
+def test_no_move_from_a_self_difference_is_nonnegative(store, day2):
+    """Left's moves from x - x, to xL - x and to x - xR, are never >= 0, so
+    _left_answers returns False on a self-pair without a search. Decided by
+    geq on the built sums, which runs no zero test, for every follower of
+    day 2 and of 300 day-3 forms."""
+    followers = set()
+    for g in day2 + day3_sample(store, 300):
+        followers.update(store.followers(g))
+    moves = 0
+    for x in sorted(followers):
+        for xl in store.left(x):
+            assert not geq(store, store.sum(xl, store.conjugate(x)), store.zero), (xl, x)
+            moves += 1
+        for xr in store.right(x):
+            assert not geq(store, store.sum(x, store.conjugate(xr)), store.zero), (x, xr)
+            moves += 1
+    assert (len(followers), moves) == (310, 2901)
+
+
 def test_leq_zero_is_geq_zero_of_the_conjugate(store, day2, day3_big, raw_forms):
     for g in day2 + day3_big[:2000] + raw_forms:
         assert leq_zero(store, g) == geq_zero(store, store.conjugate(g))
