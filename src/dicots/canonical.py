@@ -18,10 +18,10 @@ Every reversibility test is one relation, B <= G, decided by ``geq`` (Siegel,
 Applied bottom-up until nothing fires, these rewrites terminate in the
 unique smallest form of each equivalence class. Because that form is unique,
 ``canonical`` keeps only the fixpoint: it drops every dominated option in
-one pass and interns no form per step. ``explain`` asks the same fixpoint
-loop to write down its route, one ReductionStep per rewrite, so the trace
-ends where ``canonical`` does. ``reduce_once`` is the single-step rule the
-route is made of.
+one pass and interns no form per step. ``reduce_once`` is the single-step
+rule, and ``explain`` records a trace by applying it until nothing fires,
+one ReductionStep per rewrite; the tests check that the trace ends where
+``canonical`` does.
 
 A rewrite that would reproduce the same form (a replacement already present)
 counts as not applicable; the scan simply moves on.
@@ -156,9 +156,9 @@ def reduce_once(store: Store, g: FormId) -> tuple[FormId, ReductionStep] | None:
     so traces reproduce: domination (Left then Right), reversibility with
     replacements (Left then Right), reversibility through the endgame (Left
     then Right), then the collapse of {*|*} to 0; candidates are tried
-    in stored (ascending id) order. `canonical` reaches the same fixpoint
-    without interning a form per step, and the steps `explain` records are
-    the ones this function takes, one call at a time.
+    in stored (ascending id) order. It reads no memo table. `canonical`
+    reaches the same fixpoint without interning a form per step; `explain`
+    records the steps this function takes, one call at a time.
     """
     check_id(store, g)
     left, right = store._lefts[g], store._rights[g]
@@ -202,12 +202,7 @@ def _kept(store: Store, opts: tuple[FormId, ...], left: bool) -> tuple[FormId, .
     return kept
 
 
-def _fixpoint(
-    store: Store,
-    left: tuple[FormId, ...],
-    right: tuple[FormId, ...],
-    steps: list[ReductionStep] | None = None,
-) -> FormId:
+def _fixpoint(store: Store, left: tuple[FormId, ...], right: tuple[FormId, ...]) -> FormId:
     """The canonical form of the form with options (left, right), every
     proper follower of which has its canonical form in the memo already,
     without interning the forms in between.
@@ -220,46 +215,20 @@ def _fixpoint(
     the result is stored under each, the last round's first (so it is a key
     before any form maps to it): one reversal scan per post-domination form.
     Their options, canonical forms and their followers, are keys already.
-
-    Given a ``steps`` list, ``left`` and ``right`` must be canonical
-    already, and it appends the route reduce_once takes: each round interns
-    the form holding its options, then each dropped option is one
-    domination step (Left, then Right, in ascending id order, as ``_drops``
-    finds them), then comes the reversal's step. This route neither reads
-    nor fills ``canonical``, so every round is recorded.
     """
     lefts, rights = store._lefts, store._rights
     intern = store._intern_sorted
     memo = store.canonical_memo
     seen = []
     while True:
-        kept_left = _kept(store, left, True)
-        kept_right = _kept(store, right, False)
-        if steps is not None:
-            g = intern(left, right)
-            for a in left:
-                if a not in kept_left:
-                    left = tuple(x for x in left if x != a)
-                    after = intern(left, right)
-                    steps.append(ReductionStep(StepKind.DOMINATION_L, g, after))
-                    g = after
-            for a in right:
-                if a not in kept_right:
-                    right = tuple(x for x in right if x != a)
-                    after = intern(left, right)
-                    steps.append(ReductionStep(StepKind.DOMINATION_R, g, after))
-                    g = after
-        g = intern(kept_left, kept_right)
-        if steps is None:
-            if g in memo:
-                g = memo[g]
-                break
-            seen.append(g)
+        g = intern(_kept(store, left, True), _kept(store, right, False))
+        if g in memo:
+            g = memo[g]
+            break
+        seen.append(g)
         hit = _reverse(store, g)
         if hit is None:
             break
-        if steps is not None:
-            steps.append(ReductionStep(hit[1], g, hit[0]))
         g = hit[0]
         left, right = lefts[g], rights[g]
     for x in reversed(seen):
@@ -285,7 +254,7 @@ def canonical(store: Store, g: FormId) -> FormId:
     its canonical form, then rewrite at the root to a fixpoint. Canonical
     forms are unique, so only the fixpoint is kept: dominated options are
     dropped all at once, and no form is interned for a step on the way
-    (``explain`` has the fixpoint record them when asked).
+    (``explain`` takes them one at a time with ``reduce_once`` when asked).
 
     The fixpoint takes each follower's options as the follower holds them
     and canonicalises them inside its domination scan, memoized per (option
@@ -330,10 +299,11 @@ def explain(store: Store, g: FormId) -> list[ReductionStep]:
     everywhere) transforms g into canonical(store, g).
 
     A follower's steps are recorded on the first ``explain`` that reaches
-    it, in the store's ``canonical_steps`` table, by running canonical's
-    fixpoint from the form with its canonicalised options with a list to
-    write its route into; this interns the forms in between, which
-    ``canonical`` skips.
+    it, in the store's ``canonical_steps`` table, by applying ``reduce_once``
+    until it returns None, starting from the form with the follower's
+    canonicalised options. This interns the forms in between, which
+    ``canonical`` skips, and repeats each step's domination scan, which
+    ``canonical`` reads from the ``kept`` table.
     """
     canonical(store, g)
     steps_memo = store.canonical_steps_memo
@@ -342,7 +312,10 @@ def explain(store: Store, g: FormId) -> list[ReductionStep]:
         steps = steps_memo.get(f)
         if steps is None:
             route: list[ReductionStep] = []
-            _fixpoint(store, *_canonical_options(store, f), route)
+            h = store._intern_sorted(*_canonical_options(store, f))
+            while (hit := reduce_once(store, h)) is not None:
+                h, step = hit
+                route.append(step)
             steps = steps_memo[f] = tuple(route)
         out.extend(steps)
     return out

@@ -433,7 +433,7 @@ class _Parser:
             self._pos += 1
             start = self._pos
             t = self._text
-            while self._pos < len(t) and t[self._pos].isdigit():
+            while self._pos < len(t) and t[self._pos] in "0123456789":
                 self._pos += 1
             if self._pos == start:
                 return self._store.star

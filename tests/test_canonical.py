@@ -19,7 +19,7 @@ from dicots import (
     reduce_once,
     step_as_dict,
 )
-from dicots.canonical import _drops, _fixpoint, _reverse
+from dicots.canonical import _drops, _reverse
 from dicots.selftest import day2_population, day3_sample
 
 from _oracles import assert_replay_reaches_canonical, day2_by_hand
@@ -199,7 +199,8 @@ def test_explain_replays_each_follower_to_its_canonical_form(store, day2, day3_b
 def test_explain_records_the_steps_reduce_once_takes(store, day2, day3_big, raw_forms):
     """Each follower's recorded trace is the one reduce_once takes, one step
     at a time, from the form with its canonicalised options until nothing
-    fires: the fixpoint's batched drops come out in single-step order."""
+    fires, so explain follows the public single-step rule; and its last
+    step lands on the form canonical's batched fixpoint reached."""
     for g in day2 + day3_big[:2000] + raw_forms:
         explain(store, g)
         for f in store.followers(g):
@@ -213,6 +214,7 @@ def test_explain_records_the_steps_reduce_once_takes(store, day2, day3_big, raw_
                 want.append((step.kind, step.before, step.after))
             got = [(s.kind, s.before, s.after) for s in store.canonical_steps_memo[f]]
             assert got == want, notation(store, f)
+            assert h == canonical(store, f)
 
 
 def test_only_star_star_collapses_to_zero(store, day2, day3_big, raw_forms):
@@ -267,18 +269,26 @@ def test_domination_memo_is_pure():
     assert got == want
 
 
+def _reduced(store, g):
+    """Where reduce_once, which reads no memo, stops when applied from g."""
+    while (hit := reduce_once(store, g)) is not None:
+        g = hit[0]
+    return g
+
+
 def _stale_entries(store, forms):
-    """The forms among ``forms`` whose canonical entry differs from what the
-    fixpoint reaches from their options with a steps list, which neither
-    reads nor fills the memo."""
+    """The forms among ``forms`` whose canonical entry differs from where
+    reduce_once stops from them. The forms given are post-domination forms,
+    whose options are canonical, so single steps reach their canonical
+    forms."""
     memo = store.canonical_memo
-    return [x for x in forms if _fixpoint(store, store.left(x), store.right(x), []) != memo[x]]
+    return [x for x in forms if _reduced(store, x) != memo[x]]
 
 
 def test_canonical_memo_is_pure_and_closed(monkeypatch):
     """canonical runs the reversal scan once per post-domination form and
     stores that form's canonical form under its id. Every such entry is what
-    the fixpoint reaches from the form's options without the memo; every
+    reduce_once, which reads no memo, reaches from the form; every
     key's options are keys, and every canonical form is its own entry;
     canonical forms do not depend on whether the entries of forms that are
     no input's followers are there; and a wrong entry planted under one

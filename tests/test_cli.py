@@ -165,10 +165,12 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     assert rc == 1
     rc, _, err = run_cli(capsys, "enumerate", "--birthday", "9")
     assert rc == 1
-    # Out-of-range numbers and unreadable files: one error line, no traceback.
+    # Out-of-range numbers, non-ASCII digits and unreadable files: one error
+    # line, no traceback.
     not_utf8 = tmp_path / "latin1.txt"
     not_utf8.write_bytes(b"{0|\xe9}\n")
     for argv in (
+        ["outcome", "*\u00b2"],
         ["enumerate", "--birthday", "-1"],
         ["enumerate", "--birthday", "2", "--limit", "-1"],
         ["outcome", "--file", str(tmp_path / "missing.txt")],

@@ -430,6 +430,12 @@ def test_parse_error_positions(store):
     with pytest.raises(ParseError) as err:
         parse(store, "{0,|*}")
     assert err.value.position == 3
+    # Only ASCII digits make a nimber index; * then a superscript or
+    # Arabic-Indic digit is * with trailing input.
+    for text in ("*\u00b2", "*\u0663"):
+        with pytest.raises(ParseError) as err:
+            parse(store, text)
+        assert err.value.position == 1, text
 
 
 def test_parse_expressions(store):
