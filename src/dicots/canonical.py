@@ -215,10 +215,23 @@ def _fixpoint(store: Store, left: tuple[FormId, ...], right: tuple[FormId, ...])
     the result is stored under each, the last round's first (so it is a key
     before any form maps to it): one reversal scan per post-domination form.
     Their options, canonical forms and their followers, are keys already.
+
+    Many calls end in the first round on a post-domination form met before,
+    so that round is first tried as lookups alone: both kept tuples in the
+    ``kept`` table, the form they make interned, and its ``canonical``
+    entry. When all three hit, that entry is the answer; otherwise the loop
+    below runs from the start, and so receives the same entries either way.
     """
+    memo = store.canonical_memo
+    kept = store.kept_memo
+    kl = kept.get((left, True))
+    kr = kept.get((right, False))
+    if kl is not None and kr is not None:
+        got = memo.get(store._ids.get((kl, kr)))
+        if got is not None:
+            return got
     lefts, rights = store._lefts, store._rights
     intern = store._intern_sorted
-    memo = store.canonical_memo
     seen = []
     while True:
         g = intern(_kept(store, left, True), _kept(store, right, False))
@@ -264,9 +277,10 @@ def canonical(store: Store, g: FormId) -> FormId:
 
     When every option of g already has its canonical form, so has every
     proper follower (an entry is published only after those of its form's
-    options), and g is the one follower left: it is processed alone,
-    without walking or memoizing its followers. The order of work, and so
-    the ids interned, are those of the full walk.
+    options), and g is the one follower left: it goes to the fixpoint
+    directly, without walking or memoizing its followers, and a fixpoint
+    whose first round is all memo hits answers from lookups alone. The
+    order of work, and so the ids interned, are those of the full walk.
     """
     check_id(store, g)
     memo = store.canonical_memo
@@ -274,16 +288,14 @@ def canonical(store: Store, g: FormId) -> FormId:
     if got is not None:
         return got
     lefts, rights = store._lefts, store._rights
-    todo = (g,)
     for x in lefts[g] + rights[g]:
         if x not in memo:
-            todo = store.followers(g)
-            break
-    for f in todo:
-        if f in memo:
-            continue
-        memo[f] = _fixpoint(store, lefts[f], rights[f])
-    return memo[g]
+            for f in store.followers(g):
+                if f not in memo:
+                    memo[f] = _fixpoint(store, lefts[f], rights[f])
+            return memo[g]
+    got = memo[g] = _fixpoint(store, lefts[g], rights[g])
+    return got
 
 
 def is_canonical(store: Store, g: FormId) -> bool:
@@ -321,10 +333,18 @@ def explain(store: Store, g: FormId) -> list[ReductionStep]:
     return out
 
 
-def step_as_dict(store: Store, step: ReductionStep) -> dict:
-    """Serializable view of a step, forms rendered in notation."""
-    return {
-        "kind": step.kind.value,
-        "before": notation(store, step.before),
-        "after": notation(store, step.after),
-    }
+def step_as_dict(store: Store, step: ReductionStep, names: dict | None = None) -> dict:
+    """Serializable view of a step, forms rendered in notation.
+
+    ``names``, when given, maps ids to their notation: it is read first and
+    filled on a miss, so steps sharing a dict render each form once.
+    """
+    if names is None:
+        names = {}
+    out = {"kind": step.kind.value}
+    for field, g in (("before", step.before), ("after", step.after)):
+        name = names.get(g)
+        if name is None:
+            name = names[g] = notation(store, g)
+        out[field] = name
+    return out

@@ -11,7 +11,8 @@ Examples::
     dicots outcome "*2+*2" --stats
 
 Expressions beginning with '-' (a conjugate at top level) need a '--'
-separator first, as usual: ``dicots outcome -- "-{0|*}"``.
+separator first, as usual: ``dicots outcome -- "-{0|*}"``. ``python -m
+dicots`` takes the same arguments.
 
 ``--stats`` on any verb writes one JSON line to stderr after the verb has
 run: the verb, its wall seconds and ``Store.stats()``. Stdout is the same
@@ -181,9 +182,10 @@ def _dispatch(store: Store, args) -> int:
         exprs = [args.expr]
 
     outputs = []
+    names: dict = {}
     for i, expr in enumerate(exprs):
         try:
-            outputs.append(_eval_expr(store, verb, expr, args))
+            outputs.append(_eval_expr(store, verb, expr, args, names))
         except _DOMAIN_ERRORS as exc:
             where = f"line {i + 1}: " if args.file else ""
             print(f"error: {where}{_message(exc)}", file=sys.stderr)
@@ -204,8 +206,10 @@ def _dispatch(store: Store, args) -> int:
     return 0
 
 
-def _eval_expr(store: Store, verb: str, expr: str, args):
-    """Evaluate one expression; returns (json payload, text rendering)."""
+def _eval_expr(store: Store, verb: str, expr: str, args, names: dict):
+    """Evaluate one expression; returns (json payload, text rendering).
+    ``names`` caches the notation of trace forms across the expressions of
+    one invocation."""
     g = parse(store, expr)
     if verb == "outcome":
         o = outcome(store, g)
@@ -214,7 +218,7 @@ def _eval_expr(store: Store, verb: str, expr: str, args):
         c = canonical(store, g)
         name = notation(store, c)
         if args.trace:
-            steps = [step_as_dict(store, s) for s in explain(store, g)]
+            steps = [step_as_dict(store, s, names) for s in explain(store, g)]
             text = name
             for s in steps:
                 text += f"\n{s['kind']}: {s['before']} -> {s['after']}"

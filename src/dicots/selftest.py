@@ -120,16 +120,22 @@ def check_reference_positions(store: Store) -> CheckResult:
 
 
 def check_inversion_characterization(store: Store, population: list[int]) -> CheckResult:
-    """The follower scan and the direct zero test must agree on every form.
-    The zero test runs on canonical(g): on g itself it would cost about half
-    a full selftest more. Tier-1 runs it on raw forms as well."""
+    """The follower scan and the direct zero test must agree on every value.
+
+    Every form is canonicalised, in population order. Invertibility is a
+    property of the value (canonical forms are unique), so both routes then
+    run once per canonical form the population reaches, in ascending id
+    order, and a failure names that value. The population's size is the
+    number of cases reported. Running the zero test on every raw form would
+    cost about half a full selftest more; tier-1 runs it on raw forms too.
+    """
     t0 = time.perf_counter()
     failures: list[str] = []
-    for g in population:
-        scan = is_invertible(store, g).verdict
-        direct = oracle_invertible(store, canonical(store, g))
+    for c in sorted({canonical(store, g) for g in population}):
+        scan = is_invertible(store, c).verdict
+        direct = oracle_invertible(store, c)
         if scan != direct:
-            failures.append(f"{notation(store, g)}: scan {scan}, direct {direct}")
+            failures.append(f"{notation(store, c)}: scan {scan}, direct {direct}")
     return _result("inversion-characterization", t0, failures, len(population))
 
 
@@ -137,18 +143,27 @@ def check_inversion_corollaries(store: Store, population: list[int]) -> CheckRes
     """A *2 follower forces non-invertibility, and invertibility is hereditary.
 
     Both are properties of the value, so each is checked once per canonical
-    form; the population's size is still the number of cases reported.
+    form, and each form's verdict is asked once, however many values it
+    follows; the population's size is still the number of cases reported.
     """
     t0 = time.perf_counter()
     failures: list[str] = []
     star2 = store.nimber(2)
+    verdicts: dict[int, bool] = {}
+
+    def invertible(f: int) -> bool:
+        v = verdicts.get(f)
+        if v is None:
+            v = verdicts[f] = is_invertible(store, f).verdict
+        return v
+
     for c in sorted({canonical(store, g) for g in population}):
-        verdict = is_invertible(store, c).verdict
+        verdict = invertible(c)
         if verdict and star2 in store.followers(c):
             failures.append(f"{notation(store, c)}: invertible despite a *2 follower")
         if verdict:
             for f in store.followers(c):
-                if not is_invertible(store, f).verdict:
+                if not invertible(f):
                     failures.append(
                         f"{notation(store, c)}: non-invertible follower {notation(store, f)}"
                     )

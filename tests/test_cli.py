@@ -3,13 +3,21 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dicots
+from dicots import cli
+from dicots.canonical import step_as_dict
 from dicots.cli import main
 from dicots.forms import MEMO_TABLES, DicotViolation, ParseError, Store, notation, parse
+from dicots.selftest import day2_population, day3_sample
 
 DAY2_CANONICAL_NOTATIONS = [
     "0",
@@ -64,6 +72,32 @@ def test_canonical_trace_json(capsys):
         "canonical": "0",
         "trace": [{"kind": "Substitution", "before": "{*|*}", "after": "0"}],
     }
+
+
+def test_trace_batch_renders_as_step_by_step(capsys, tmp_path, monkeypatch):
+    """A --trace batch renders each trace form once per invocation; its
+    output, text and json, is byte-identical to rendering every step on its
+    own."""
+    store = Store()
+    lines = [notation(store, g) for g in day2_population(store) + day3_sample(store, 300)]
+    f = tmp_path / "batch.txt"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = [["canonical", "--trace", "--file", str(f), "--format", fmt] for fmt in ("text", "json")]
+    shared = [run_cli(capsys, *a) for a in argv]
+    monkeypatch.setattr(cli, "step_as_dict", lambda s, step, names: step_as_dict(s, step))
+    alone = [run_cli(capsys, *a) for a in argv]
+    assert shared == alone
+    assert shared[0][0] == 0
+    assert shared[0][1].count("\n") > 2 * len(lines)  # several steps a line
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(dicots.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "dicots", "outcome", "*2+*2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "P\n", "")
 
 
 def test_invertible_text(capsys):

@@ -71,6 +71,26 @@ def test_corollary_check_fails_on_a_non_invertible_follower(monkeypatch):
     assert f"{notation(store, c)}: non-invertible follower {notation(store, f)}" in r.detail
 
 
+def test_characterization_check_fails_on_a_wrong_value(monkeypatch):
+    """Both routes run once per value, yet the check still fails when the
+    oracle flips one value's verdict: the detail names that value, the case
+    count stays the population's size, and every form was canonicalised."""
+    store = Store()
+    population = day2_population(store) + day3_sample(store, 300)
+    c = canonical(store, population[-1])
+    assert sum(g in store.canonical_memo for g in population) < 20  # c's followers only
+    oracle = selftest.oracle_invertible
+
+    def flipped(store, g):
+        return oracle(store, g) != (g == c)
+
+    monkeypatch.setattr(selftest, "oracle_invertible", flipped)
+    r = selftest.check_inversion_characterization(store, population)
+    assert not r.passed
+    assert r.detail.startswith(f"1 of {len(population)} failed: {notation(store, c)}: ")
+    assert all(g in store.canonical_memo for g in population)
+
+
 def test_adjoint_law_check_fails_on_a_wrong_adjoint():
     """With adjoint(g) replaced by 0 for one nonzero form g whose outcome is
     not P, g + 0 is not P, so the pair route must report that form."""
