@@ -202,6 +202,21 @@ def _kept(store: Store, opts: tuple[FormId, ...], left: bool) -> tuple[FormId, .
     return kept
 
 
+def _known(store: Store, left: tuple[FormId, ...], right: tuple[FormId, ...]) -> FormId | None:
+    """The canonical form of the form with options (left, right) from
+    lookups alone, or None: both kept tuples in the ``kept`` table, the form
+    they make interned, and its ``canonical`` entry. A ``kept`` key is
+    written only once every option in its tuple has a ``canonical`` entry,
+    and entries are never removed, so a hit needs no check of the options.
+    """
+    kept = store.kept_memo
+    kl = kept.get((left, True))
+    kr = kept.get((right, False))
+    if kl is None or kr is None:
+        return None
+    return store.canonical_memo.get(store._ids.get((kl, kr)))
+
+
 def _fixpoint(store: Store, left: tuple[FormId, ...], right: tuple[FormId, ...]) -> FormId:
     """The canonical form of the form with options (left, right), every
     proper follower of which has its canonical form in the memo already,
@@ -217,19 +232,14 @@ def _fixpoint(store: Store, left: tuple[FormId, ...], right: tuple[FormId, ...])
     Their options, canonical forms and their followers, are keys already.
 
     Many calls end in the first round on a post-domination form met before,
-    so that round is first tried as lookups alone: both kept tuples in the
-    ``kept`` table, the form they make interned, and its ``canonical``
-    entry. When all three hit, that entry is the answer; otherwise the loop
-    below runs from the start, and so receives the same entries either way.
+    so that round is first tried as lookups alone (``_known``); on a miss
+    the loop below runs from the start, and so receives the same entries
+    either way.
     """
+    got = _known(store, left, right)
+    if got is not None:
+        return got
     memo = store.canonical_memo
-    kept = store.kept_memo
-    kl = kept.get((left, True))
-    kr = kept.get((right, False))
-    if kl is not None and kr is not None:
-        got = memo.get(store._ids.get((kl, kr)))
-        if got is not None:
-            return got
     lefts, rights = store._lefts, store._rights
     intern = store._intern_sorted
     seen = []
@@ -275,12 +285,14 @@ def canonical(store: Store, g: FormId) -> FormId:
     after domination, so followers that agree once dominated options are
     gone share one reversal scan.
 
-    When every option of g already has its canonical form, so has every
-    proper follower (an entry is published only after those of its form's
-    options), and g is the one follower left: it goes to the fixpoint
-    directly, without walking or memoizing its followers, and a fixpoint
-    whose first round is all memo hits answers from lookups alone. The
-    order of work, and so the ids interned, are those of the full walk.
+    g is first answered from lookups alone when its fixpoint's first round
+    is all memo hits (``_known``), which also shows that its options have
+    canonical forms. Otherwise, when every option of g already has its
+    canonical form, so has every proper follower (an entry is published
+    only after those of its form's options), and g is the one follower
+    left: it goes to the fixpoint directly, without walking or memoizing
+    its followers. The order of work, and so the ids interned, are those of
+    the full walk.
     """
     check_id(store, g)
     memo = store.canonical_memo
@@ -288,13 +300,16 @@ def canonical(store: Store, g: FormId) -> FormId:
     if got is not None:
         return got
     lefts, rights = store._lefts, store._rights
-    for x in lefts[g] + rights[g]:
-        if x not in memo:
-            for f in store.followers(g):
-                if f not in memo:
-                    memo[f] = _fixpoint(store, lefts[f], rights[f])
-            return memo[g]
-    got = memo[g] = _fixpoint(store, lefts[g], rights[g])
+    got = _known(store, lefts[g], rights[g])
+    if got is None:
+        for x in lefts[g] + rights[g]:
+            if x not in memo:
+                for f in store.followers(g):
+                    if f not in memo:
+                        memo[f] = _fixpoint(store, lefts[f], rights[f])
+                return memo[g]
+        got = _fixpoint(store, lefts[g], rights[g])
+    memo[g] = got
     return got
 
 

@@ -36,7 +36,7 @@ class PreconditionViolated(ValueError):
     """Raised when lemma_check is handed a g that is not strictly positive."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvertReport:
     """Everything is_invertible looked at, for auditing.
 
@@ -76,13 +76,7 @@ def is_invertible(store: Store, g: FormId) -> InvertReport:
                     witness = f
         scan = store.invert_memo[c] = (follower_outcomes, witness)
     follower_outcomes, witness = scan
-    return InvertReport(
-        input=g,
-        canonical=c,
-        follower_outcomes=dict(follower_outcomes),
-        verdict=witness is None,
-        witness=witness,
-    )
+    return InvertReport(g, c, dict(follower_outcomes), witness is None, witness)
 
 
 def inverse(store: Store, g: FormId) -> FormId | None:

@@ -105,10 +105,16 @@ def _wins(store: Store, memo: dict, a: FormId, b: FormId) -> bool:
     return hit
 
 
+def _outcome_of(left_first: bool, right_first: bool) -> Outcome:
+    """The outcome of a form that Left, moving first, wins exactly when
+    ``left_first`` and Right exactly when ``right_first``."""
+    if left_first:
+        return _N if right_first else _L
+    return _R if right_first else _P
+
+
 def outcome(store: Store, g: FormId) -> Outcome:
     """Misere outcome of g, from the first-mover results fixed when g was
     interned."""
     check_id(store, g)
-    if store._left_wins[g]:
-        return _N if store._right_wins[g] else _L
-    return _R if store._right_wins[g] else _P
+    return _outcome_of(store._left_wins[g], store._right_wins[g])

@@ -22,6 +22,7 @@ from .invert import is_invertible, lemma_check, lemma_witness, oracle_invertible
 from .order import OrderResult, compare, eq, eq_zero, geq, geq_zero, leq_zero
 from .outcomes import (
     Outcome,
+    _outcome_of,
     _wins,
     conjugate_outcome,
     left_wins_moving_first,
@@ -119,32 +120,43 @@ def check_reference_positions(store: Store) -> CheckResult:
     return _result("reference-positions", t0, failures, seen[0])
 
 
-def check_inversion_characterization(store: Store, population: list[int]) -> CheckResult:
+def population_values(store: Store, population: list[int]) -> list[int]:
+    """The canonical forms that ``population`` reaches, in ascending id
+    order, canonicalising every form in population order.
+
+    Invertibility is a property of the value (canonical forms are unique),
+    so the invertibility checks take this list, built once, together with
+    the population's size as their number of cases.
+    """
+    return sorted({canonical(store, g) for g in population})
+
+
+def check_inversion_characterization(store: Store, values: list[int], cases: int) -> CheckResult:
     """The follower scan and the direct zero test must agree on every value.
 
-    Every form is canonicalised, in population order. Invertibility is a
-    property of the value (canonical forms are unique), so both routes then
-    run once per canonical form the population reaches, in ascending id
-    order, and a failure names that value. The population's size is the
-    number of cases reported. Running the zero test on every raw form would
-    cost about half a full selftest more; tier-1 runs it on raw forms too.
+    ``values`` comes from ``population_values``. Both routes run once per
+    value, in ascending id order, and a failure names that value; ``cases``,
+    the population's size, is the number of cases reported. Running the
+    zero test on every raw form would cost about half a full selftest more;
+    tier-1 runs it on raw forms too.
     """
     t0 = time.perf_counter()
     failures: list[str] = []
-    for c in sorted({canonical(store, g) for g in population}):
+    for c in values:
         scan = is_invertible(store, c).verdict
         direct = oracle_invertible(store, c)
         if scan != direct:
             failures.append(f"{notation(store, c)}: scan {scan}, direct {direct}")
-    return _result("inversion-characterization", t0, failures, len(population))
+    return _result("inversion-characterization", t0, failures, cases)
 
 
-def check_inversion_corollaries(store: Store, population: list[int]) -> CheckResult:
+def check_inversion_corollaries(store: Store, values: list[int], cases: int) -> CheckResult:
     """A *2 follower forces non-invertibility, and invertibility is hereditary.
 
-    Both are properties of the value, so each is checked once per canonical
-    form, and each form's verdict is asked once, however many values it
-    follows; the population's size is still the number of cases reported.
+    Both are properties of the value, so each is checked once per value from
+    ``population_values``, and each form's verdict is asked once, however
+    many values it follows; ``cases``, the population's size, is the number
+    of cases reported.
     """
     t0 = time.perf_counter()
     failures: list[str] = []
@@ -157,7 +169,7 @@ def check_inversion_corollaries(store: Store, population: list[int]) -> CheckRes
             v = verdicts[f] = is_invertible(store, f).verdict
         return v
 
-    for c in sorted({canonical(store, g) for g in population}):
+    for c in values:
         verdict = invertible(c)
         if verdict and star2 in store.followers(c):
             failures.append(f"{notation(store, c)}: invertible despite a *2 follower")
@@ -168,12 +180,19 @@ def check_inversion_corollaries(store: Store, population: list[int]) -> CheckRes
                         f"{notation(store, c)}: non-invertible follower {notation(store, f)}"
                     )
                     break
-    return _result("inversion-corollaries", t0, failures, len(population))
+    return _result("inversion-corollaries", t0, failures, cases)
 
 
 def check_positivity_under_self_pairs(store: Store) -> CheckResult:
     """Strictly positive forms never drop below 0 when a pair h - h is added,
-    and the witness construction separates every nonzero pair from 0."""
+    and the witness construction separates every nonzero pair from 0.
+
+    The check builds each g + h - h and each pair s = h + conjugate(h), and
+    zero-tests them, because those sums are what it tests. The witness X is
+    judged without building s + X: that sum is the difference
+    s - conjugate(X), so the win solver decides it on the id pair
+    (s, conjugate(X)) for Left moving first and (conjugate(X), s) for Right.
+    """
     t0 = time.perf_counter()
     failures: list[str] = []
     day2 = day2_population(store)
@@ -196,6 +215,7 @@ def check_positivity_under_self_pairs(store: Store) -> CheckResult:
         parse(store, "{0|*2}"),
         store.intern((store.zero,), (parse(store, "{0,*|{*|0,*},{0|0,*}}"),)),
     ]
+    memo = store.first_wins_memo
     for h in day2 + extras:
         total += 1
         s = store.sum(h, store.conjugate(h))
@@ -207,10 +227,12 @@ def check_positivity_under_self_pairs(store: Store) -> CheckResult:
         if x is None:
             failures.append(f"{notation(store, h)}: no witness for a nonzero pair")
             continue
+        cx = store.conjugate(x)
+        left_first = _wins(store, memo, s, cx)  # Left moving first on s + X
         distinguishes = (
-            left_wins_moving_first(store, store.sum(s, x))
+            left_first
             and not left_wins_moving_first(store, x)
-            and outcome(store, store.sum(s, x)) is not outcome(store, x)
+            and _outcome_of(left_first, _wins(store, memo, cx, s)) is not outcome(store, x)
         )
         if not distinguishes:
             failures.append(f"{notation(store, h)}: witness fails to distinguish")
@@ -371,8 +393,10 @@ def iter_checks(level: str = "quick", store: Store | None = None) -> Iterator[Ch
     day2 = day2_population(store)
     day3 = day3_sample(store, sizes["day3"])
     yield check_reference_positions(store)
-    yield check_inversion_characterization(store, day2 + day3)
-    yield check_inversion_corollaries(store, day2 + day3)
+    population = day2 + day3
+    values = population_values(store, population)
+    yield check_inversion_characterization(store, values, len(population))
+    yield check_inversion_corollaries(store, values, len(population))
     yield check_positivity_under_self_pairs(store)
     yield from check_algebraic_properties(store, day2, day3, sizes["cases"])
 

@@ -11,6 +11,7 @@ from dicots.selftest import (
     check_positivity_under_self_pairs,
     check_reference_positions,
     format_line,
+    population_values,
 )
 
 
@@ -32,13 +33,17 @@ def test_criterion_2_characterization_sweep(store, day2, day3_big):
     birthday-3 samples, with zero disagreements."""
     assert len(day2) == 10
     assert len(day3_big) == 10000
-    _settle(check_inversion_characterization(store, day2 + day3_big))
+    population = day2 + day3_big
+    values = population_values(store, population)
+    _settle(check_inversion_characterization(store, values, len(population)))
 
 
 def test_criterion_3_corollaries(store, day2, day3_big):
     """On the same population: a *2 follower forces non-invertibility, and
     followers of invertible canonical forms are invertible."""
-    _settle(check_inversion_corollaries(store, day2 + day3_big))
+    population = day2 + day3_big
+    values = population_values(store, population)
+    _settle(check_inversion_corollaries(store, values, len(population)))
 
 
 def test_criterion_4_positivity_lemma(store):

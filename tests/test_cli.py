@@ -341,3 +341,44 @@ def test_fuzzed_text_parses_round_trip_or_raises_a_domain_error(text):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(["outcome", "--", text])
     assert rc in (0, 1), (text, err.getvalue())
+
+
+# Deep inputs as text: a chain of nestings, each level {g|0} or {0|g} in a
+# repeating pattern, around a core of up to six {g|g} levels (each doubles
+# the text, so only the core repeats g), then wrapped in a conjugate or a
+# sum. Past a few hundred levels the parser runs out of recursion.
+_LEVELS = {"{g|0}": ("{", "|0}"), "{0|g}": ("{0|", "}")}
+_WRAPS = ["{}", "-{}", "{}+*", "*+-{}"]
+
+
+def _deep_text(pattern, depth, doublings, core, wrap):
+    levels = [_LEVELS[pattern[i % len(pattern)]] for i in range(depth)]
+    for _ in range(doublings):
+        core = "{" + core + "|" + core + "}"
+    opens = "".join(o for o, _ in reversed(levels))
+    closes = "".join(c for _, c in levels)
+    return wrap.format(opens + core + closes)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(
+    st.lists(st.sampled_from(sorted(_LEVELS)), min_size=1, max_size=3),
+    st.integers(1, 1500),
+    st.integers(0, 6),
+    st.sampled_from(["0", "*"]),
+    st.sampled_from(_WRAPS),
+)
+def test_deep_nestings_get_an_answer_or_exit_1(pattern, depth, doublings, core, wrap):
+    """Every verb that takes one form answers a deep nesting (exit 0, no
+    stderr) or reports one error line and exits 1, with no traceback."""
+    text = _deep_text(pattern, depth, doublings, core, wrap)
+    for argv in (["outcome", text], ["canonical", text], ["invertible", text], ["compare", text, "0"]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main([argv[0], "--", *argv[1:]])
+        if rc == 0:
+            assert out.getvalue() and not err.getvalue(), argv[0]
+        else:
+            assert (rc, out.getvalue()) == (1, ""), argv[0]
+            assert err.getvalue().startswith("error: "), argv[0]
+            assert err.getvalue().count("\n") == 1, argv[0]

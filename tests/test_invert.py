@@ -15,6 +15,7 @@ from dicots import (
     geq,
     inverse,
     is_invertible,
+    left_wins_moving_first,
     lemma_check,
     lemma_witness,
     notation,
@@ -22,13 +23,14 @@ from dicots import (
     outcome,
     parse,
     report_as_dict,
+    right_wins_moving_first,
 )
 
 from dicots.order import _geq_zero
-from dicots.outcomes import _wins
+from dicots.outcomes import _outcome_of, _wins
 from dicots.selftest import day2_population, day3_sample
 
-from _oracles import day2_by_hand, structure_key
+from _oracles import brute_outcome, day2_by_hand, structure_key
 
 # Every day-2 form except *2 is invertible (derived, inverse verified by
 # summing back to an eq-0 form).
@@ -305,6 +307,32 @@ def test_lemma_witness_distinguishes_the_pair_from_zero(store, day2):
             continue
         pair = store.sum(h, store.conjugate(h))
         assert outcome(store, store.sum(pair, w)) is not outcome(store, w)
+
+
+def test_witness_sums_built_match_the_pair_route(store, day2):
+    """s + X, for s = h + conjugate(h) and X its witness, is checked by
+    brute minimax on the built sum; the selftest decides it on the pair
+    (s, conjugate(X)) instead, and both movers there agree with the
+    first-mover results the store fixed when it interned the sum. The
+    population is the selftest's: every day-2 h and its two birthday-3
+    extras, {0|*2} and {0|H}."""
+    extras = [parse(store, "{0|*2}"), parse(store, "{0|{0,*|{*|0,*},{0|0,*}}}")]
+    memo = store.first_wins_memo
+    brute: dict = {}
+    nonzero = 0
+    for h in day2 + extras:
+        x = lemma_witness(store, h)
+        if x is None:
+            continue
+        nonzero += 1
+        s = store.sum(h, store.conjugate(h))
+        built = store.sum(s, x)
+        cx = store.conjugate(x)
+        left_first, right_first = _wins(store, memo, s, cx), _wins(store, memo, cx, s)
+        assert left_first == left_wins_moving_first(store, built), notation(store, h)
+        assert right_first == right_wins_moving_first(store, built), notation(store, h)
+        assert _outcome_of(left_first, right_first) is brute_outcome(store, built, brute)
+    assert nonzero == 3  # *2 and both extras
 
 
 def test_lemma_witness_pinned_cases(store):

@@ -56,7 +56,7 @@ def test_corollary_check_fails_on_a_non_invertible_follower(monkeypatch):
     its case count stays the population's size."""
     store = Store()
     population = day2_population(store) + day3_sample(store, 300)
-    values = sorted({canonical(store, g) for g in population})
+    values = selftest.population_values(store, population)
     c = next(v for v in values if v != store.zero and is_invertible(store, v).verdict)
     f = store.followers(c)[-2]  # c's youngest proper follower; c itself is last
 
@@ -65,7 +65,7 @@ def test_corollary_check_fails_on_a_non_invertible_follower(monkeypatch):
         return dataclasses.replace(report, verdict=False) if g == f else report
 
     monkeypatch.setattr(selftest, "is_invertible", broken)
-    r = selftest.check_inversion_corollaries(store, population)
+    r = selftest.check_inversion_corollaries(store, values, len(population))
     assert not r.passed
     assert r.detail.split(":")[0].endswith(f" of {len(population)} failed")
     assert f"{notation(store, c)}: non-invertible follower {notation(store, f)}" in r.detail
@@ -73,8 +73,9 @@ def test_corollary_check_fails_on_a_non_invertible_follower(monkeypatch):
 
 def test_characterization_check_fails_on_a_wrong_value(monkeypatch):
     """Both routes run once per value, yet the check still fails when the
-    oracle flips one value's verdict: the detail names that value, the case
-    count stays the population's size, and every form was canonicalised."""
+    oracle flips one value's verdict: the detail names that value and the
+    case count stays the population's size. ``population_values``
+    canonicalises every form and returns the distinct values in order."""
     store = Store()
     population = day2_population(store) + day3_sample(store, 300)
     c = canonical(store, population[-1])
@@ -85,10 +86,12 @@ def test_characterization_check_fails_on_a_wrong_value(monkeypatch):
         return oracle(store, g) != (g == c)
 
     monkeypatch.setattr(selftest, "oracle_invertible", flipped)
-    r = selftest.check_inversion_characterization(store, population)
+    values = selftest.population_values(store, population)
+    assert all(g in store.canonical_memo for g in population)
+    assert values == sorted({store.canonical_memo[g] for g in population})
+    r = selftest.check_inversion_characterization(store, values, len(population))
     assert not r.passed
     assert r.detail.startswith(f"1 of {len(population)} failed: {notation(store, c)}: ")
-    assert all(g in store.canonical_memo for g in population)
 
 
 def test_adjoint_law_check_fails_on_a_wrong_adjoint():
@@ -105,3 +108,22 @@ def test_adjoint_law_check_fails_on_a_wrong_adjoint():
     r = next(r for r in results if r.name == "adjoint-law")
     assert not r.passed
     assert r.detail == f"1 of 50 failed: {notation(store, g)}"
+
+
+def test_positivity_check_fails_on_a_wrong_witness(monkeypatch):
+    """With * as the witness for every nonzero pair, the pair route finds
+    that it separates *2 - *2 from 0 but not the pairs of the two
+    birthday-3 extras, whose self-pairs are next-player wins."""
+    store = Store()
+    witness = selftest.lemma_witness
+
+    def star_witness(store, h):
+        return None if witness(store, h) is None else store.star
+
+    monkeypatch.setattr(selftest, "lemma_witness", star_witness)
+    r = selftest.check_positivity_under_self_pairs(store)
+    assert not r.passed
+    assert r.detail == (
+        "2 of 22 failed: {0|*2}: witness fails to distinguish; "
+        "{0|{0,*|{0|0,*},{*|0,*}}}: witness fails to distinguish"
+    )
