@@ -178,6 +178,14 @@ def reduce_once(store: Store, g: FormId) -> tuple[FormId, ReductionStep] | None:
     return after, ReductionStep(kind, g, after)
 
 
+def _canonical_tuple(store: Store, opts: tuple[FormId, ...]) -> tuple[FormId, ...]:
+    """opts with every option replaced by its canonical form, sorted and
+    without repeats; each option's canonical form must be in the memo
+    already."""
+    memo = store.canonical_memo
+    return tuple(sorted({memo[x] for x in opts}))
+
+
 def _kept(store: Store, opts: tuple[FormId, ...], left: bool) -> tuple[FormId, ...]:
     """The options of one side that domination keeps once each option is
     replaced by its canonical form, memoized per (options, side) in the
@@ -191,8 +199,7 @@ def _kept(store: Store, opts: tuple[FormId, ...], left: bool) -> tuple[FormId, .
     key = (opts, left)
     kept = store.kept_memo.get(key)
     if kept is None:
-        memo = store.canonical_memo
-        canon = tuple(sorted({memo[x] for x in opts}))
+        canon = _canonical_tuple(store, opts)
         if canon != opts:
             kept = _kept(store, canon, left)
         else:
@@ -202,49 +209,27 @@ def _kept(store: Store, opts: tuple[FormId, ...], left: bool) -> tuple[FormId, .
     return kept
 
 
-def _known(store: Store, left: tuple[FormId, ...], right: tuple[FormId, ...]) -> FormId | None:
-    """The canonical form of the form with options (left, right) from
-    lookups alone, or None: both kept tuples in the ``kept`` table, the form
-    they make interned, and its ``canonical`` entry. A ``kept`` key is
-    written only once every option in its tuple has a ``canonical`` entry,
-    and entries are never removed, so a hit needs no check of the options.
-    """
-    kept = store.kept_memo
-    kl = kept.get((left, True))
-    kr = kept.get((right, False))
-    if kl is None or kr is None:
-        return None
-    return store.canonical_memo.get(store._ids.get((kl, kr)))
-
-
-def _fixpoint(store: Store, left: tuple[FormId, ...], right: tuple[FormId, ...]) -> FormId:
-    """The canonical form of the form with options (left, right), every
-    proper follower of which has its canonical form in the memo already,
-    without interning the forms in between.
+def _fixpoint(store: Store, g: FormId) -> FormId:
+    """The canonical form of g, every proper follower of which has its
+    canonical form in the memo already, without interning the forms in
+    between.
 
     Each round drops every dominated option at once (Left, then Right, on
     the options' canonical forms) and interns the form left over, which the
     reversibility tests take as an id. Its ``canonical`` entry ends the
     loop; without one, a reversal's result starts the next round. These
-    forms all have the input's value, and canonical forms are unique, so
-    the result is stored under each, the last round's first (so it is a key
-    before any form maps to it): one reversal scan per post-domination form.
-    Their options, canonical forms and their followers, are keys already.
-
-    Many calls end in the first round on a post-domination form met before,
-    so that round is first tried as lookups alone (``_known``); on a miss
-    the loop below runs from the start, and so receives the same entries
-    either way.
+    forms all have g's value, and canonical forms are unique, so the result
+    is stored under each, the last round's first (so it is a key before any
+    form maps to it): one reversal scan per post-domination form. Their
+    options, canonical forms and their followers, are keys already. A first
+    round that hits every table writes nothing.
     """
-    got = _known(store, left, right)
-    if got is not None:
-        return got
     memo = store.canonical_memo
     lefts, rights = store._lefts, store._rights
     intern = store._intern_sorted
     seen = []
     while True:
-        g = intern(_kept(store, left, True), _kept(store, right, False))
+        g = intern(_kept(store, lefts[g], True), _kept(store, rights[g], False))
         if g in memo:
             g = memo[g]
             break
@@ -253,20 +238,9 @@ def _fixpoint(store: Store, left: tuple[FormId, ...], right: tuple[FormId, ...])
         if hit is None:
             break
         g = hit[0]
-        left, right = lefts[g], rights[g]
     for x in reversed(seen):
         memo[x] = g
     return g
-
-
-def _canonical_options(store: Store, f: FormId) -> tuple[tuple[FormId, ...], tuple[FormId, ...]]:
-    """f's option sets with every option replaced by its canonical form;
-    each option's canonical form must be in the memo already."""
-    memo = store.canonical_memo
-    return (
-        tuple(sorted({memo[x] for x in store._lefts[f]})),
-        tuple(sorted({memo[x] for x in store._rights[f]})),
-    )
 
 
 def canonical(store: Store, g: FormId) -> FormId:
@@ -285,31 +259,24 @@ def canonical(store: Store, g: FormId) -> FormId:
     after domination, so followers that agree once dominated options are
     gone share one reversal scan.
 
-    g is first answered from lookups alone when its fixpoint's first round
-    is all memo hits (``_known``), which also shows that its options have
-    canonical forms. Otherwise, when every option of g already has its
-    canonical form, so has every proper follower (an entry is published
-    only after those of its form's options), and g is the one follower
-    left: it goes to the fixpoint directly, without walking or memoizing
-    its followers. The order of work, and so the ids interned, are those of
-    the full walk.
+    When every option of g already has its canonical form, so has every
+    proper follower (an entry is published only after those of its form's
+    options), and g is the one follower left: it goes to the fixpoint
+    directly, without walking or memoizing its followers. The order of
+    work, and so the ids interned, are those of the full walk.
     """
     check_id(store, g)
     memo = store.canonical_memo
     got = memo.get(g)
     if got is not None:
         return got
-    lefts, rights = store._lefts, store._rights
-    got = _known(store, lefts[g], rights[g])
-    if got is None:
-        for x in lefts[g] + rights[g]:
-            if x not in memo:
-                for f in store.followers(g):
-                    if f not in memo:
-                        memo[f] = _fixpoint(store, lefts[f], rights[f])
-                return memo[g]
-        got = _fixpoint(store, lefts[g], rights[g])
-    memo[g] = got
+    for x in store._lefts[g] + store._rights[g]:
+        if x not in memo:
+            for f in store.followers(g):
+                if f not in memo:
+                    memo[f] = _fixpoint(store, f)
+            return memo[g]
+    got = memo[g] = _fixpoint(store, g)
     return got
 
 
@@ -339,7 +306,10 @@ def explain(store: Store, g: FormId) -> list[ReductionStep]:
         steps = steps_memo.get(f)
         if steps is None:
             route: list[ReductionStep] = []
-            h = store._intern_sorted(*_canonical_options(store, f))
+            h = store._intern_sorted(
+                _canonical_tuple(store, store._lefts[f]),
+                _canonical_tuple(store, store._rights[f]),
+            )
             while (hit := reduce_once(store, h)) is not None:
                 h, step = hit
                 route.append(step)

@@ -242,8 +242,8 @@ def _eval_expr(store: Store, verb: str, expr: str, args, names: dict):
         name = notation(store, store.adjoint(g))
         return name, name
     if verb == "followers":
-        names = [notation(store, f) for f in store.followers(g)]
-        return names, " ".join(names)
+        listed = [notation(store, f) for f in store.followers(g)]
+        return listed, " ".join(listed)
     if verb == "witness":
         w = lemma_witness(store, g)
         if w is None:

@@ -22,7 +22,6 @@ from .invert import is_invertible, lemma_check, lemma_witness, oracle_invertible
 from .order import OrderResult, compare, eq, eq_zero, geq, geq_zero, leq_zero
 from .outcomes import (
     Outcome,
-    _outcome_of,
     _wins,
     conjugate_outcome,
     left_wins_moving_first,
@@ -190,8 +189,8 @@ def check_positivity_under_self_pairs(store: Store) -> CheckResult:
     The check builds each g + h - h and each pair s = h + conjugate(h), and
     zero-tests them, because those sums are what it tests. The witness X is
     judged without building s + X: that sum is the difference
-    s - conjugate(X), so the win solver decides it on the id pair
-    (s, conjugate(X)) for Left moving first and (conjugate(X), s) for Right.
+    s - conjugate(X), so the win solver decides whether Left, moving first,
+    wins it on the id pair (s, conjugate(X)).
     """
     t0 = time.perf_counter()
     failures: list[str] = []
@@ -227,14 +226,10 @@ def check_positivity_under_self_pairs(store: Store) -> CheckResult:
         if x is None:
             failures.append(f"{notation(store, h)}: no witness for a nonzero pair")
             continue
-        cx = store.conjugate(x)
-        left_first = _wins(store, memo, s, cx)  # Left moving first on s + X
-        distinguishes = (
-            left_first
-            and not left_wins_moving_first(store, x)
-            and _outcome_of(left_first, _wins(store, memo, cx, s)) is not outcome(store, x)
-        )
-        if not distinguishes:
+        # Left winning s + X moving first and losing X moving first makes
+        # their outcomes differ (L or N against P or R): no Right-first test.
+        left_first = _wins(store, memo, s, store.conjugate(x))
+        if not left_first or left_wins_moving_first(store, x):
             failures.append(f"{notation(store, h)}: witness fails to distinguish")
     return _result("positivity-under-self-pairs", t0, failures, total)
 

@@ -198,23 +198,20 @@ def test_stats_counts_forms_and_every_memo_table():
 # forms with a non-canonical option, and followers memoizes only the form
 # asked for, so followers holds just the canonical forms the scan walked.
 # canonical interns no form per rewrite step and records no trace
-# (canonical_steps stays empty until explain), its reversal scan runs
-# once per post-domination form, whose canonical form it also stores in
-# canonical (was canonical 310 plus a rewrite table of 257 entries keyed by
-# the post-domination option pair), and its domination scan
-# once per canonical option tuple and side; kept also maps each raw tuple
-# that canonicalises to another onto that tuple's entry. canonical's
-# reversal scan compares with 0 through geq, as its domination and
-# replacement tests do, so geq_zero holds only the oracle's pairs and
-# first_wins only the pairs the oracle and the follower scan ask about (was
-# geq 437, geq_zero 1,333 and first_wins 3,593 while the endgame reversals
-# used the oracle's zero test). The win solver reads a pair with 0 on either
-# side from the first-mover results fixed at interning, so first_wins holds
-# no endgame pair; the zero test tries the mirror answer (y, y) or (x, x)
-# first, a self-pair that many forms share, then the answers that move on
-# the pair's newer form, and tests Left's first-mover win on a pair only
-# after Right's threats are answered (was first_wins 3,449 and geq_zero 944
-# with the win test first and answers in stored order).
+# (canonical_steps stays empty until explain). Its fixpoint runs the
+# reversal scan once per post-domination form and stores that form's
+# canonical form in canonical, beside the followers' entries. Its domination
+# scan runs once per canonical option tuple and side; kept also maps each
+# raw tuple that canonicalises to another onto that tuple's entry.
+# canonical's reversal scan compares with 0 through geq, as its domination
+# and replacement tests do, so geq_zero holds only the oracle's pairs and
+# first_wins only the pairs the oracle and the follower scan ask about. The
+# win solver reads a pair with 0 on either side from the first-mover results
+# fixed at interning, so first_wins holds no endgame pair. The zero test
+# tries the mirror answer (y, y) or (x, x) first, a self-pair that many
+# forms share, then the answers that move on the pair's newer form, and
+# tests Left's first-mover win on a pair only after Right's threats are
+# answered.
 PINNED_SLICE_STATS = {
     "forms": 616,
     "sum": 0,
