@@ -259,24 +259,37 @@ def canonical(store: Store, g: FormId) -> FormId:
     after domination, so followers that agree once dominated options are
     gone share one reversal scan.
 
-    When every option of g already has its canonical form, so has every
-    proper follower (an entry is published only after those of its form's
-    options), and g is the one follower left: it goes to the fixpoint
-    directly, without walking or memoizing its followers. The order of
-    work, and so the ids interned, are those of the full walk.
+    A miss on g is first looked up under the form g's kept options make,
+    the form the fixpoint's first round would reach: it has g's value, so
+    its entry is g's canonical form. Both ``kept`` keys being present also
+    shows that g's options have their canonical forms, since a ``kept`` key
+    is written only once every option in its tuple has one. The lookup
+    writes nothing, and neither would a first round making the same hits.
+
+    Otherwise, when every option of g already has its canonical form, so
+    has every proper follower (an entry is published only after those of
+    its form's options), and g is the one follower left: it goes to the
+    fixpoint directly, without walking or memoizing its followers. The
+    order of work, and so the ids interned, are those of the full walk.
     """
     check_id(store, g)
     memo = store.canonical_memo
     got = memo.get(g)
     if got is not None:
         return got
-    for x in store._lefts[g] + store._rights[g]:
-        if x not in memo:
-            for f in store.followers(g):
-                if f not in memo:
-                    memo[f] = _fixpoint(store, f)
-            return memo[g]
-    got = memo[g] = _fixpoint(store, g)
+    lefts, rights, kept = store._lefts, store._rights, store.kept_memo
+    # The entry of the form g's kept options make. A miss anywhere gives
+    # None: no ``_ids`` key has a None side, and None is no memo key.
+    got = memo.get(store._ids.get((kept.get((lefts[g], True)), kept.get((rights[g], False)))))
+    if got is None:
+        for x in lefts[g] + rights[g]:
+            if x not in memo:
+                for f in store.followers(g):
+                    if f not in memo:
+                        memo[f] = _fixpoint(store, f)
+                return memo[g]
+        got = _fixpoint(store, g)
+    memo[g] = got
     return got
 
 
