@@ -72,11 +72,10 @@ def _drops(store: Store, opts: tuple[FormId, ...], left: bool) -> Iterator[FormI
     step on that side, because a drop never makes an earlier candidate
     dominated.
     """
-    memo = store.geq_memo
     kept = list(opts)
     for a in opts:
         for b in kept:
-            if b != a and (_geq(store, memo, b, a) if left else _geq(store, memo, a, b)):
+            if b != a and (_geq(store, b, a) if left else _geq(store, a, b)):
                 kept.remove(a)
                 yield a
                 break
@@ -91,17 +90,16 @@ def _reverse(store: Store, g: FormId) -> tuple[FormId, StepKind] | None:
     left, right = lefts[g], rights[g]
     zero, star = store.zero, store.star
     intern = store._intern_sorted
-    memo = store.geq_memo
 
     for a in left:
         for b in rights[a]:
-            if lefts[b] and _geq(store, memo, g, b):
+            if lefts[b] and _geq(store, g, b):
                 after = intern(tuple(sorted((set(left) - {a}) | set(lefts[b]))), right)
                 if after != g:
                     return after, StepKind.NON_ATOMIC_REVERSE_L
     for a in right:
         for b in lefts[a]:
-            if rights[b] and _geq(store, memo, b, g):
+            if rights[b] and _geq(store, b, g):
                 after = intern(left, tuple(sorted((set(right) - {a}) | set(rights[b]))))
                 if after != g:
                     return after, StepKind.NON_ATOMIC_REVERSE_R
@@ -110,7 +108,7 @@ def _reverse(store: Store, g: FormId) -> tuple[FormId, StepKind] | None:
     # only form without Left options, so "A reverses through an option-less
     # position" means exactly: 0 is a Right option of A, and 0 <= g.
     # Left's winning moves: options where Right, moving first, loses.
-    if _geq(store, memo, g, zero):
+    if _geq(store, g, zero):
         winners = [c for c in left if not store._right_wins[c]]
         for a in left:
             if zero not in rights[a]:
@@ -124,7 +122,7 @@ def _reverse(store: Store, g: FormId) -> tuple[FormId, StepKind] | None:
             after = intern(tuple(sorted((set(left) - {a}) | {star})), right)
             if after != g:
                 return after, StepKind.ATOMIC_REVERSE_STAR_L
-    if _geq(store, memo, zero, g):
+    if _geq(store, zero, g):
         winners = [c for c in right if not store._left_wins[c]]
         for a in right:
             if zero not in lefts[a]:

@@ -53,7 +53,7 @@ class UnknownId(ValueError):
 
 
 class BoundExceeded(ValueError):
-    """Raised when enumeration is asked to go beyond its configured bound,
+    """Raised when enumeration is asked to go beyond its birthday bound,
     or below zero (a negative birthday or sample size)."""
 
 
@@ -535,7 +535,6 @@ def enumerate_dicots(
     max_birthday: int,
     limit: int | None = None,
     *,
-    bound: int = DEFAULT_BIRTHDAY_BOUND,
     seed: int = ENUMERATION_SEED,
 ) -> Iterator[FormId]:
     """Yield every dicot of birthday <= max_birthday exactly once.
@@ -547,8 +546,8 @@ def enumerate_dicots(
     sample of that many forms instead (a subsequence of the full order);
     with ``limit`` at least the population size, yields everything.
 
-    Raises BoundExceeded when max_birthday exceeds ``bound`` or when
-    max_birthday or ``limit`` is negative. The default bound of 3 is
+    Raises BoundExceeded when max_birthday exceeds DEFAULT_BIRTHDAY_BOUND
+    (3) or when max_birthday or ``limit`` is negative. The bound is
     deliberate: day-4 populations are astronomically large.
 
     Both paths build each option subset of the previous population once
@@ -558,10 +557,10 @@ def enumerate_dicots(
     """
     if max_birthday < 0:
         raise BoundExceeded("max_birthday must be >= 0")
-    if max_birthday > bound:
-        raise BoundExceeded(f"max_birthday {max_birthday} exceeds bound {bound}")
+    if max_birthday > DEFAULT_BIRTHDAY_BOUND:
+        raise BoundExceeded(f"max_birthday {max_birthday} exceeds bound {DEFAULT_BIRTHDAY_BOUND}")
     if limit is not None:
-        yield from _sample(store, max_birthday, limit, bound, seed)
+        yield from _sample(store, max_birthday, limit, seed)
         return
     population: list[FormId] = [store.zero]
     yield store.zero
@@ -582,20 +581,18 @@ def enumerate_dicots(
         older = prev
 
 
-def _sample(store: Store, max_birthday: int, limit: int, bound: int, seed: int):
+def _sample(store: Store, max_birthday: int, limit: int, seed: int):
     if limit < 0:
         raise BoundExceeded("limit must be >= 0")
     sizes = _layer_sizes(max_birthday)
     total = sum(sizes)
     if limit >= total:
-        yield from enumerate_dicots(store, max_birthday, None, bound=bound, seed=seed)
+        yield from enumerate_dicots(store, max_birthday, None, seed=seed)
+        return
+    if max_birthday == 0:  # day 0 holds one form, so limit is 0 here
         return
     picks = sorted(random.Random(seed).sample(range(total), limit))
-    if max_birthday == 0:
-        for _ in picks:
-            yield store.zero
-        return
-    population = list(enumerate_dicots(store, max_birthday - 1, None, bound=bound))
+    population = list(enumerate_dicots(store, max_birthday - 1, None))
     subsets = _subsets(population)
     base = len(population)  # == total - sizes[-1]
     older = base - sizes[-2]  # forms of birthday <= max_birthday - 2

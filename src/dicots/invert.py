@@ -64,11 +64,10 @@ def is_invertible(store: Store, g: FormId) -> InvertReport:
     c = canonical(store, g)
     scan = store.invert_memo.get(c)
     if scan is None:
-        first = store.first_wins_memo
         follower_outcomes: dict = {}
         witness = None
         for f in store.followers(c):
-            if _wins(store, first, f, f):
+            if _wins(store, f, f):
                 follower_outcomes[f] = Outcome.N
             else:
                 follower_outcomes[f] = Outcome.P
@@ -97,7 +96,7 @@ def oracle_invertible(store: Store, g: FormId) -> bool:
     >= 0 half again: one zero test settles it.
     """
     check_id(store, g)
-    return _geq_zero(store, store.geq_zero_memo, g, g)
+    return _geq_zero(store, g, g)
 
 
 def lemma_witness(store: Store, h: FormId) -> FormId | None:
@@ -114,9 +113,9 @@ def lemma_witness(store: Store, h: FormId) -> FormId | None:
     because the adjoint construction needs its followers.
     """
     check_id(store, h)
-    if _geq_zero(store, store.geq_zero_memo, h, h):
+    if _geq_zero(store, h, h):
         return None
-    if not _wins(store, store.first_wins_memo, h, h):
+    if not _wins(store, h, h):
         return store.star
     s = store.sum(h, store.conjugate(h))
     adjoints = {store.adjoint(f) for f in store.followers(s)}

@@ -20,6 +20,8 @@ pair (g, 0) and ``leq_zero(g)`` the pair (0, g), because g <= 0 exactly when
 its conjugate 0 - g is >= 0. ``eq_zero`` is both at once. This zero test
 serves the invertibility oracle and the public zero tests alone; canonical
 forms compare with 0 through ``geq``, so the two routes stay independent.
+Each pair kernel owns its memo table on the store, so no caller names one:
+``_geq`` keeps ``geq``, ``_geq_zero`` ``geq_zero`` and ``_wins`` ``first_wins``.
 
 The verdicts do not depend on the search order, but the work does, so the
 zero test answers from pairs many forms share before pairs of one form: the
@@ -54,19 +56,20 @@ def geq(store: Store, g: FormId, h: FormId) -> bool:
     """True iff g >= h modulo the dicot misere universe."""
     check_id(store, g)
     check_id(store, h)
-    return _geq(store, store.geq_memo, g, h)
+    return _geq(store, g, h)
 
 
-def _geq(store: Store, memo: dict, g: FormId, h: FormId) -> bool:
+def _geq(store: Store, g: FormId, h: FormId) -> bool:
+    memo = store.geq_memo
     key = (g, h)
     hit = memo.get(key)
     if hit is None:
-        hit = _geq_compute(store, memo, g, h)
+        hit = _geq_compute(store, g, h)
         memo[key] = hit
     return hit
 
 
-def _geq_compute(store: Store, memo: dict, g: FormId, h: FormId) -> bool:
+def _geq_compute(store: Store, g: FormId, h: FormId) -> bool:
     # The outcome proviso outcome_geq(outcome(g), outcome(h)) fails exactly
     # when h wins where g does not, on the stored first-mover results.
     lw, rw = store._left_wins, store._right_wins
@@ -75,21 +78,21 @@ def _geq_compute(store: Store, memo: dict, g: FormId, h: FormId) -> bool:
     lefts, rights = store._lefts, store._rights
     for gr in rights[g]:
         for hr in rights[h]:
-            if _geq(store, memo, gr, hr):
+            if _geq(store, gr, hr):
                 break
         else:
             for grl in lefts[gr]:
-                if _geq(store, memo, grl, h):
+                if _geq(store, grl, h):
                     break
             else:
                 return False
     for hl in lefts[h]:
         for gl in lefts[g]:
-            if _geq(store, memo, gl, hl):
+            if _geq(store, gl, hl):
                 break
         else:
             for hlr in rights[hl]:
-                if _geq(store, memo, g, hlr):
+                if _geq(store, g, hlr):
                     break
             else:
                 return False
@@ -100,42 +103,44 @@ def geq_zero(store: Store, g: FormId) -> bool:
     """True iff g >= 0: Left wins moving first, and every Right option admits
     a Left response that is again >= 0. Agrees with geq(store, g, zero)."""
     check_id(store, g)
-    return _geq_zero(store, store.geq_zero_memo, g, store.zero)
+    return _geq_zero(store, g, store.zero)
 
 
 def leq_zero(store: Store, g: FormId) -> bool:
     """True iff g <= 0, that is 0 - g >= 0. Agrees with geq(store, zero, g)."""
     check_id(store, g)
-    return _geq_zero(store, store.geq_zero_memo, store.zero, g)
+    return _geq_zero(store, store.zero, g)
 
 
-def _geq_zero(store: Store, memo: dict, a: FormId, b: FormId) -> bool:
-    """True iff the difference a - b is >= 0, decided on the pair (a, b).
+def _geq_zero(store: Store, a: FormId, b: FormId) -> bool:
+    """True iff the difference a - b is >= 0, decided on the pair (a, b)
+    and memoized in the store's ``geq_zero`` table.
 
     Right's threats are answered before Left's first-mover win is tested:
     the answers are mostly pairs shared by many differences and already in
-    the memo, while ``_wins`` on (a, b) is a search of this difference alone.
+    the table, while ``_wins`` on (a, b) is a search of this difference alone.
     """
+    memo = store.geq_zero_memo
     key = (a, b)
     hit = memo.get(key)
     if hit is None:
         hit = True
         for ar in store._rights[a]:
-            if not _left_answers(store, memo, ar, b):
+            if not _left_answers(store, ar, b):
                 hit = False
                 break
         else:
             for bl in store._lefts[b]:
-                if not _left_answers(store, memo, a, bl):
+                if not _left_answers(store, a, bl):
                     hit = False
                     break
         if hit:
-            hit = _wins(store, store.first_wins_memo, a, b)
+            hit = _wins(store, a, b)
         memo[key] = hit
     return hit
 
 
-def _left_answers(store: Store, memo: dict, x: FormId, y: FormId) -> bool:
+def _left_answers(store: Store, x: FormId, y: FormId) -> bool:
     """True iff Left has a move from x - y to a difference that is >= 0;
     never on x - x, by induction on x: Right answers xL - x with xL - xL
     and x - xR with xR - xR, from which Left has no such move.
@@ -145,24 +150,24 @@ def _left_answers(store: Store, memo: dict, x: FormId, y: FormId) -> bool:
     the answers that move on the newer side, the one with the larger id,
     then those that move on the older side, each in stored order. Options
     are older than their form, so the earlier answers are pairs of older
-    forms, which many differences share and the memo mostly holds.
+    forms, which many differences share and the table mostly holds.
     """
     if x == y:
         return False
     xls, yrs = store._lefts[x], store._rights[y]
     mirror = y if y in xls else x if x in yrs else None
-    if mirror is not None and _geq_zero(store, memo, mirror, mirror):
+    if mirror is not None and _geq_zero(store, mirror, mirror):
         return True
     if x < y:
         for yr in yrs:
-            if yr != mirror and _geq_zero(store, memo, x, yr):
+            if yr != mirror and _geq_zero(store, x, yr):
                 return True
     for xl in xls:
-        if xl != mirror and _geq_zero(store, memo, xl, y):
+        if xl != mirror and _geq_zero(store, xl, y):
             return True
     if x >= y:
         for yr in yrs:
-            if yr != mirror and _geq_zero(store, memo, x, yr):
+            if yr != mirror and _geq_zero(store, x, yr):
                 return True
     return False
 

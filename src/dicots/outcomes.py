@@ -73,14 +73,15 @@ def right_wins_moving_first(store: Store, g: FormId) -> bool:
     return store._right_wins[g]
 
 
-def _wins(store: Store, memo: dict, a: FormId, b: FormId) -> bool:
+def _wins(store: Store, a: FormId, b: FormId) -> bool:
     """True iff Left, moving first on the difference a - b, wins.
 
     a - b is a + conjugate(b), never built: Left moves to (aL, b) or
     (a, bR). Right to move on x - y is Left to move on its conjugate y - x,
-    so one table keyed (a, b) holds both movers. No move means the opponent
-    moved last and loses; otherwise some move must leave the opponent, now
-    to move, losing. A pair with the endgame on one side is a form the store
+    so the store's ``first_wins`` table, keyed (a, b) and read by this
+    function alone, holds both movers. No move means the opponent moved
+    last and loses; otherwise some move must leave the opponent, now to
+    move, losing. A pair with the endgame on one side is a form the store
     has interned, so it is read from the first-mover results fixed then and
     never enters the table.
     """
@@ -88,17 +89,18 @@ def _wins(store: Store, memo: dict, a: FormId, b: FormId) -> bool:
         return store._left_wins[a]
     if a == 0:  # 0 - b is b with Right to move
         return store._right_wins[b]
+    memo = store.first_wins_memo
     key = (a, b)
     hit = memo.get(key)
     if hit is None:
         hit = False  # Left has a move: a and b are nonzero dicots
         for x in store._lefts[a]:
-            if not _wins(store, memo, b, x):
+            if not _wins(store, b, x):
                 hit = True
                 break
         else:
             for y in store._rights[b]:
-                if not _wins(store, memo, y, a):
+                if not _wins(store, y, a):
                     hit = True
                     break
         memo[key] = hit

@@ -214,7 +214,6 @@ def check_positivity_under_self_pairs(store: Store) -> CheckResult:
         parse(store, "{0|*2}"),
         store.intern((store.zero,), (parse(store, "{0,*|{*|0,*},{0|0,*}}"),)),
     ]
-    memo = store.first_wins_memo
     for h in day2 + extras:
         total += 1
         s = store.sum(h, store.conjugate(h))
@@ -228,7 +227,7 @@ def check_positivity_under_self_pairs(store: Store) -> CheckResult:
             continue
         # Left winning s + X moving first and losing X moving first makes
         # their outcomes differ (L or N against P or R): no Right-first test.
-        left_first = _wins(store, memo, s, store.conjugate(x))
+        left_first = _wins(store, s, store.conjugate(x))
         if not left_first or left_wins_moving_first(store, x):
             failures.append(f"{notation(store, h)}: witness fails to distinguish")
     return _result("positivity-under-self-pairs", t0, failures, total)
@@ -248,10 +247,9 @@ def check_algebraic_properties(
     # Left moving first (g, c) and Right moving first (c, g) both lose.
     t0 = time.perf_counter()
     failures = []
-    memo = store.first_wins_memo
     for g in sample:
         c = store.conjugate(store.adjoint(g))
-        if _wins(store, memo, g, c) or _wins(store, memo, c, g):
+        if _wins(store, g, c) or _wins(store, c, g):
             failures.append(notation(store, g))
     results.append(_result("adjoint-law", t0, failures, len(sample)))
 
@@ -380,11 +378,9 @@ def check_algebraic_properties(
     return results
 
 
-def iter_checks(level: str = "quick", store: Store | None = None) -> Iterator[CheckResult]:
+def iter_checks(level: str, store: Store) -> Iterator[CheckResult]:
     """Run every check at the given level, yielding results as they finish."""
     sizes = LEVELS[level]
-    if store is None:
-        store = Store()
     day2 = day2_population(store)
     day3 = day3_sample(store, sizes["day3"])
     yield check_reference_positions(store)

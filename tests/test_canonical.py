@@ -320,6 +320,22 @@ def test_canonical_memo_is_pure_and_closed(monkeypatch):
     assert _stale_entries(store, scans) == [x]
 
 
+def test_canonical_answers_from_the_kept_form_without_a_fixpoint(monkeypatch):
+    """A miss on g whose kept options make a form with a canonical entry is
+    answered from that entry, without a call to the fixpoint. Over day 2
+    and a 2,000-form day-3 sample on a fresh store the fixpoint runs 1,433
+    times; without the lookup it would run 2,010 times, to the same
+    verdicts and table entries."""
+    store = Store()
+    forms = day2_population(store) + day3_sample(store, 2000)
+    calls = []
+    fixpoint = canonical_module._fixpoint
+    monkeypatch.setattr(canonical_module, "_fixpoint", lambda s, g: calls.append(g) or fixpoint(s, g))
+    for g in forms:
+        canonical(store, g)
+    assert len(calls) == 1433
+
+
 def test_canonical_interns_no_form_between_steps():
     """Two rewrites reduce {{*|*},{0,*|*}|0}: its options canonicalise to 0
     and {0,*|*}, which dominates 0, and {{0,*|*}|0} reverses to *. When the

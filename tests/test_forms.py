@@ -427,6 +427,12 @@ def test_parse_error_positions(store):
     with pytest.raises(ParseError) as err:
         parse(store, "{0,|*}")
     assert err.value.position == 3
+    # A closed option list must be followed by its separator or closer.
+    for text, closer, position in (("{0}", "|", 2), ("{0|0", "}", 4)):
+        with pytest.raises(ParseError) as err:
+            parse(store, text)
+        assert err.value.position == position, text
+        assert str(err.value).startswith(f"expected '{closer}'"), text
     # Only ASCII digits make a nimber index; * then a superscript or
     # Arabic-Indic digit is * with trailing input.
     for text in ("*\u00b2", "*\u0663"):
@@ -529,7 +535,8 @@ def test_enumeration_bounds(store):
     with pytest.raises(BoundExceeded):
         list(enumerate_dicots(store, 4))
     with pytest.raises(BoundExceeded):
-        list(enumerate_dicots(store, 3, limit=5, bound=2))
+        list(enumerate_dicots(store, 4, limit=5))
+    assert list(enumerate_dicots(store, 0, limit=0)) == []
 
 
 def test_concurrent_interning_is_consistent():

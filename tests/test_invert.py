@@ -108,7 +108,7 @@ def test_pair_outcomes_match_the_built_self_pairs(store, day2, day3_big):
     is built, which also keeps sum and conjugate under test."""
     for g in day2 + day3_big[:2000]:
         built = outcome(store, store.sum(g, store.conjugate(g)))
-        assert (Outcome.N if _wins(store, store.first_wins_memo, g, g) else Outcome.P) is built
+        assert (Outcome.N if _wins(store, g, g) else Outcome.P) is built
         for f, o in is_invertible(store, g).follower_outcomes.items():
             assert o is outcome(store, store.sum(f, store.conjugate(f)))
 
@@ -225,12 +225,11 @@ def test_only_the_conjugate_can_be_an_inverse():
     store = Store()
     forms = day2_population(store) + day3_sample(store, 300)
     values = sorted({canonical(store, g) for g in forms})
-    memo = store.geq_zero_memo
     zeros = [
         (g, k)
         for g in values
         for k in values
-        if _geq_zero(store, memo, g, k) and _geq_zero(store, memo, k, g)
+        if _geq_zero(store, g, k) and _geq_zero(store, k, g)
     ]
     assert len(values) == 174
     assert [(g, k) for g, k in zeros if g != k] == []
@@ -317,7 +316,6 @@ def test_witness_sums_built_match_the_pair_route(store, day2):
     population is the selftest's: every day-2 h and its two birthday-3
     extras, {0|*2} and {0|H}."""
     extras = [parse(store, "{0|*2}"), parse(store, "{0|{0,*|{*|0,*},{0|0,*}}}")]
-    memo = store.first_wins_memo
     brute: dict = {}
     nonzero = 0
     for h in day2 + extras:
@@ -328,7 +326,7 @@ def test_witness_sums_built_match_the_pair_route(store, day2):
         s = store.sum(h, store.conjugate(h))
         built = store.sum(s, x)
         cx = store.conjugate(x)
-        left_first, right_first = _wins(store, memo, s, cx), _wins(store, memo, cx, s)
+        left_first, right_first = _wins(store, s, cx), _wins(store, cx, s)
         assert left_first == left_wins_moving_first(store, built), notation(store, h)
         assert right_first == right_wins_moving_first(store, built), notation(store, h)
         assert _outcome_of(left_first, right_first) is brute_outcome(store, built, brute)

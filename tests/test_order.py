@@ -147,20 +147,20 @@ def test_pair_zero_test_agrees_with_geq_on_the_built_difference(store, day2):
     for a, b in pairs:
         difference = store.sum(a, store.conjugate(b))
         want = geq(store, difference, store.zero)
-        assert _geq_zero(store, store.geq_zero_memo, a, b) == want, (a, b)
+        assert _geq_zero(store, a, b) == want, (a, b)
 
 
 def test_zero_test_stops_at_the_first_unanswered_left_option():
     """Every Right option of a is answered in a - b below, and then the
     first Left option of b that Left cannot answer decides False. Stopping
     there leaves 4 memo entries; going on through b's other Left options
-    reaches the same verdict with 7, so the entry count pins the stop."""
+    reaches the same verdict with 7, so the entry count pins the stop. The
+    store is fresh, so its ``geq_zero`` table holds those entries alone."""
     store = Store()
     a = parse(store, "{*,{*|0,*}|{*|0,*}}")
     b = parse(store, "{0,*,{*|*},{0,*|0}|0}")
-    memo: dict = {}
-    assert not _geq_zero(store, memo, a, b)
-    assert len(memo) == 4
+    assert not _geq_zero(store, a, b)
+    assert len(store.geq_zero_memo) == 4
 
 
 def test_no_move_from_a_self_difference_is_nonnegative(store, day2):

@@ -89,8 +89,8 @@ def test_outcomes_match_brute_minimax(store, day2, day3_big, raw_forms):
     z = store.zero
     for g in sorted(forms):
         assert outcome(store, g) is brute_outcome(store, g, memo)
-        assert left_wins_moving_first(store, g) == _wins(store, first, g, z)
-        assert right_wins_moving_first(store, g) == _wins(store, first, z, g)
+        assert left_wins_moving_first(store, g) == _wins(store, g, z)
+        assert right_wins_moving_first(store, g) == _wins(store, z, g)
     assert len(first) == before
 
 
@@ -154,8 +154,8 @@ def test_pair_wins_match_brute_minimax_on_the_built_difference(store, day2):
     memo: dict = {}
     for a, b in itertools.product(day2, repeat=2):
         d = store.sum(a, store.conjugate(b))
-        assert _wins(store, store.first_wins_memo, a, b) == brute_wins(store, d, True, memo)
-        assert _wins(store, store.first_wins_memo, b, a) == brute_wins(store, d, False, memo)
+        assert _wins(store, a, b) == brute_wins(store, d, True, memo)
+        assert _wins(store, b, a) == brute_wins(store, d, False, memo)
 
 
 def test_adjoint_law_on_built_sums_matches_the_pair_route(store, day2, day3_big):
@@ -168,5 +168,5 @@ def test_adjoint_law_on_built_sums_matches_the_pair_route(store, day2, day3_big)
         s = store.sum(g, store.adjoint(g))
         assert brute_outcome(store, s, memo) is Outcome.P, g
         c = store.conjugate(store.adjoint(g))
-        assert _wins(store, store.first_wins_memo, g, c) == left_wins_moving_first(store, s)
-        assert _wins(store, store.first_wins_memo, c, g) == right_wins_moving_first(store, s)
+        assert _wins(store, g, c) == left_wins_moving_first(store, s)
+        assert _wins(store, c, g) == right_wins_moving_first(store, s)
