@@ -86,9 +86,9 @@ class Store:
     """Append-only interning table for dicot forms.
 
     Ids are indices into the table and stay valid for the store's lifetime.
-    Get-or-insert is atomic (a lock guards insertion), and everything else
-    built on top is a pure memoized function of ids, so concurrent readers
-    are safe. ``zero`` and ``star`` are pre-interned with ids 0 and 1.
+    Get-or-insert is atomic: one plain lock, taken only to insert a new
+    form, guards insertion. Everything else built on top is a pure memoized
+    function of ids, so concurrent readers are safe. ``zero`` and ``star`` are pre-interned with ids 0 and 1.
 
     Interning a form fixes its birthday and whether each player wins moving
     first, read off its options' own entries; ``birthday`` and
@@ -107,7 +107,7 @@ class Store:
     """
 
     def __init__(self):
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._lefts: list[tuple[FormId, ...]] = []
         self._rights: list[tuple[FormId, ...]] = []
         self._ids: dict[tuple, FormId] = {}
@@ -136,27 +136,30 @@ class Store:
 
         Options are deduplicated and sorted; interning the same sets twice
         yields the same id. Raises DicotViolation when exactly one side is
-        empty and UnknownId when an option id is not in the table.
+        empty and UnknownId when an option id is not in the table. The
+        table's length is read without the lock: ids only grow, so an id
+        below it stays valid.
         """
         l, r = tuple(left), tuple(right)
         if bool(l) != bool(r):
             raise DicotViolation(
                 "one-sided form: a dicot has moves for both players or neither"
             )
-        with self._lock:
-            n = len(self._lefts)
-            for x in l + r:
-                # bool is an int subclass; True and False are not ids.
-                if type(x) is not int or not 0 <= x < n:
-                    raise UnknownId(f"option {x!r} is not an interned form")
-            return self._intern_sorted(tuple(sorted(set(l))), tuple(sorted(set(r))))
+        n = len(self._lefts)
+        for x in l + r:
+            # bool is an int subclass; True and False are not ids.
+            if type(x) is not int or not 0 <= x < n:
+                raise UnknownId(f"option {x!r} is not an interned form")
+        return self._intern_sorted(tuple(sorted(set(l))), tuple(sorted(set(r))))
 
     def _intern_sorted(self, l: tuple[FormId, ...], r: tuple[FormId, ...]) -> FormId:
         """``intern`` for option tuples the store itself produced: interned
         ids, sorted, duplicate free, and both sides empty or neither. Nothing
-        is checked. A hit takes no lock. A new form's facts go in before its
-        options (which ``check_id`` counts), and its id into ``_ids`` last, so
-        a lock-free reader never sees an id it cannot look up."""
+        is checked. A hit takes no lock; a miss takes the store's plain lock,
+        once, and looks again under it. A new form's facts go in before its
+        options (which ``check_id`` and ``intern`` count), and its id into
+        ``_ids`` last, so a lock-free reader never sees an id it cannot look
+        up."""
         key = (l, r)
         gid = self._ids.get(key)
         if gid is None:

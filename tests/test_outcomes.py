@@ -5,6 +5,7 @@ import itertools
 from dicots import (
     Outcome,
     Store,
+    canonical,
     conjugate_outcome,
     left_wins_moving_first,
     outcome,
@@ -13,6 +14,7 @@ from dicots import (
     right_wins_moving_first,
 )
 from dicots.outcomes import _wins
+from dicots.selftest import _sum_outcome
 
 from _oracles import brute_outcome, brute_wins, day2_by_hand
 
@@ -160,13 +162,31 @@ def test_pair_wins_match_brute_minimax_on_the_built_difference(store, day2):
 
 def test_adjoint_law_on_built_sums_matches_the_pair_route(store, day2, day3_big):
     """g + adjoint(g) is P (the adjoint law), checked by brute minimax on the
-    built sum; the selftest decides it on the pair (g, conjugate(adjoint(g)))
-    instead, and both movers there agree with the first-mover results the
-    store fixed when it interned the sum."""
+    built sum. The selftest decides it on the pair (adjoint(g), conjugate(g))
+    instead; that pair and (g, conjugate(adjoint(g))) are the same game, and
+    both movers on each agree with the first-mover results the store fixed
+    when it interned the sum."""
     memo: dict = {}
     for g in day2 + day3_big[:300]:
-        s = store.sum(g, store.adjoint(g))
+        a = store.adjoint(g)
+        s = store.sum(g, a)
         assert brute_outcome(store, s, memo) is Outcome.P, g
-        c = store.conjugate(store.adjoint(g))
-        assert _wins(store, g, c) == left_wins_moving_first(store, s)
-        assert _wins(store, c, g) == right_wins_moving_first(store, s)
+        for x, y in ((a, store.conjugate(g)), (g, store.conjugate(a))):
+            assert _wins(store, x, y) == left_wins_moving_first(store, s)
+            assert _wins(store, y, x) == right_wins_moving_first(store, s)
+
+
+def test_order_context_pair_outcomes_match_the_built_sums(store, day2, day3_big):
+    """The order-context sweep judges g + X on the pair (g, conjugate(X)).
+    On its population (day 2, a day-3 slice and its canonical forms, each
+    plus every day-2 X) that outcome equals the built sum's, and the brute
+    minimax's on a subset."""
+    slice3 = day3_big[:200]
+    population = day2 + slice3 + [canonical(store, g) for g in slice3]
+    memo: dict = {}
+    for i, g in enumerate(population):
+        for x in day2:
+            s = store.sum(g, x)
+            assert _sum_outcome(store, g, x) is outcome(store, s), (g, x)
+            if i < 40:
+                assert _sum_outcome(store, g, x) is brute_outcome(store, s, memo), (g, x)

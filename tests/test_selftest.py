@@ -1,6 +1,9 @@
 """The selftest harness: sampling, result formatting, check roster."""
 
 import dataclasses
+import itertools
+
+import pytest
 
 from dicots import Outcome, Store, canonical, is_invertible, notation, outcome, selftest
 from dicots.selftest import CheckResult, day2_population, day3_sample, format_line, iter_checks
@@ -42,6 +45,66 @@ def test_day3_sample_is_deterministic_and_on_day_3():
     assert len(sample_a) == 400
     assert all(a.birthday(g) == 3 for g in sample_a)
     assert [notation(a, g) for g in sample_a] == [notation(b, g) for g in sample_b]
+
+
+def test_day3_sample_interns_only_what_it_returns():
+    """On a store holding only day 2 the sampler interns exactly the forms
+    it returns: it stops at the last one, and the rest of the overdraw is
+    never drawn."""
+    store = Store()
+    day2_population(store)
+    n = len(store)
+    sample = day3_sample(store, 250)
+    assert len(store) - n == len(sample) == 250
+    assert sample == day3_sample(Store(), 250)
+
+
+def test_day3_sample_raises_when_the_overdraw_runs_out(monkeypatch):
+    real = selftest.enumerate_dicots
+
+    def short(store, max_birthday, limit):
+        return itertools.islice(real(store, max_birthday, limit), 20)
+
+    monkeypatch.setattr(selftest, "enumerate_dicots", short)
+    with pytest.raises(RuntimeError, match="overdraw exhausted"):
+        day3_sample(Store(), 30)
+
+
+# Store.stats() after a full sweep on a fresh store; a memo miss inserts one
+# entry, so these are the sweep's work. forms: day 2, the 10,000-form day-3
+# sample, the canonical forms population_values builds, and the adjoints,
+# conjugates and sums below, plus hand-tying's widened forms. sum: the
+# reference positions, the positivity check's g + h - h and self-pairs, sum
+# monotonicity, invertible cancellation and zero-test consistency; the
+# adjoint law and the order-context sweep judge outcomes on id pairs and
+# build none. conjugate: mostly the adjoint law's conjugate(g), which the
+# symmetry check reuses. adjoint: the adjoint law and the positivity
+# witnesses. first_wins: the follower scans, the adjoint law and the
+# order-context sweep. geq: canonicalisation, then the property suites.
+# geq_zero: the oracle and zero-test consistency. canonical and kept:
+# population_values. followers and invert: the follower scans of the
+# characterization sweep. canonical_steps stays empty: nothing calls explain.
+PINNED_FULL_STATS = {
+    "forms": 13474,
+    "sum": 643,
+    "conjugate": 1047,
+    "followers": 772,
+    "adjoint": 537,
+    "first_wins": 12847,
+    "geq": 8828,
+    "geq_zero": 2666,
+    "canonical": 11325,
+    "canonical_steps": 0,
+    "kept": 2043,
+    "invert": 770,
+}
+
+
+def test_full_sweep_work_is_pinned():
+    store = Store()
+    results = list(iter_checks("full", store))
+    assert all(r.passed for r in results)
+    assert store.stats() == PINNED_FULL_STATS
 
 
 def test_quick_level_runs_every_check(store):
