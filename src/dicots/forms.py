@@ -88,7 +88,8 @@ class Store:
     Ids are indices into the table and stay valid for the store's lifetime.
     Get-or-insert is atomic: one plain lock, taken only to insert a new
     form, guards insertion. Everything else built on top is a pure memoized
-    function of ids, so concurrent readers are safe. ``zero`` and ``star`` are pre-interned with ids 0 and 1.
+    function of ids, so concurrent readers are safe. ``zero`` and ``star``
+    are pre-interned with ids 0 and 1.
 
     Interning a form fixes its birthday and whether each player wins moving
     first, read off its options' own entries; ``birthday`` and
