@@ -29,6 +29,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from .canonical import canonical, explain, is_canonical, step_as_dict
 from .forms import (
@@ -153,56 +154,73 @@ def console_main() -> None:
     sys.exit(main())
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2))
+def _emit(args, given, result, lines) -> None:
+    """Print one answer: with ``--format json`` the document
+    ``{"verb", "input", "result"}`` that every verb emits, otherwise the
+    text ``lines``."""
+    if args.format == "json":
+        print(json.dumps({"verb": args.verb, "input": given, "result": result}, indent=2))
+    else:
+        for line in lines:
+            print(line)
 
 
 def _dispatch(store: Store, args) -> int:
     verb = args.verb
     if verb == "selftest":
-        return _do_selftest(store, args)
+        results = []
+        for r in iter_checks(args.level, store):
+            results.append(r)
+            if args.format == "text":
+                print(format_line(r))
+        checks = [{**asdict(r), "seconds": round(r.seconds, 2)} for r in results]
+        _emit(args, {"level": args.level}, checks, [])
+        return 0 if all(r.passed for r in results) else 1
     if verb == "enumerate":
-        return _do_enumerate(store, args)
+        names = [
+            notation(store, g)
+            for g in enumerate_dicots(store, args.birthday, args.limit)
+            if not args.canonical_only or is_canonical(store, g)
+        ]
+        given = {
+            "birthday": args.birthday,
+            "limit": args.limit,
+            "canonical_only": args.canonical_only,
+        }
+        _emit(args, given, names, names)
+        return 0
     if verb == "compare":
         result = str(compare(store, parse(store, args.left), parse(store, args.right)))
-        if args.format == "json":
-            _emit_json({"verb": "compare", "input": [args.left, args.right], "result": result})
-        else:
-            print(result)
+        _emit(args, [args.left, args.right], result, [result])
         return 0
 
-    if args.file is not None:
-        try:
-            with open(args.file, encoding="utf-8") as fh:
-                exprs = [line.strip() for line in fh if line.strip()]
-        except (OSError, UnicodeDecodeError) as exc:
-            print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        exprs = [args.expr]
-
+    if args.file is None:
+        payload, text = _eval_expr(store, verb, args.expr, args, {})
+        _emit(args, args.expr, payload, [text])
+        return 0
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            exprs = [line.strip() for line in fh if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
+        return 1
     outputs = []
     names: dict = {}
     for i, expr in enumerate(exprs):
         try:
             outputs.append(_eval_expr(store, verb, expr, args, names))
         except _DOMAIN_ERRORS as exc:
-            where = f"line {i + 1}: " if args.file else ""
-            print(f"error: {where}{_message(exc)}", file=sys.stderr)
+            print(f"error: line {i + 1}: {_message(exc)}", file=sys.stderr)
             return 1
-
     if args.format == "json":
         docs = [
             {"verb": verb, "input": expr, "result": payload}
             for expr, (payload, _) in zip(exprs, outputs)
         ]
-        _emit_json(docs if args.file else docs[0])
+        print(json.dumps(docs, indent=2))
     else:
         for expr, (_, text) in zip(exprs, outputs):
-            if args.file:
-                print(f"{expr}\t" + text.replace("\n", "\n\t"))
-            else:
-                print(text)
+            print(f"{expr}\t" + text.replace("\n", "\n\t"))
     return 0
 
 
@@ -244,59 +262,8 @@ def _eval_expr(store: Store, verb: str, expr: str, args, names: dict):
     if verb == "followers":
         listed = [notation(store, f) for f in store.followers(g)]
         return listed, " ".join(listed)
-    if verb == "witness":
-        w = lemma_witness(store, g)
-        if w is None:
-            return None, "none"
-        name = notation(store, w)
-        return name, name
-    raise AssertionError(f"unhandled verb {verb}")
-
-
-def _do_enumerate(store: Store, args) -> int:
-    names = [
-        notation(store, g)
-        for g in enumerate_dicots(store, args.birthday, args.limit)
-        if not args.canonical_only or is_canonical(store, g)
-    ]
-    if args.format == "json":
-        _emit_json(
-            {
-                "verb": "enumerate",
-                "input": {
-                    "birthday": args.birthday,
-                    "limit": args.limit,
-                    "canonical_only": args.canonical_only,
-                },
-                "result": names,
-            }
-        )
-    else:
-        for name in names:
-            print(name)
-    return 0
-
-
-def _do_selftest(store: Store, args) -> int:
-    results = []
-    for r in iter_checks(args.level, store):
-        results.append(r)
-        if args.format == "text":
-            print(format_line(r))
-    if args.format == "json":
-        _emit_json(
-            {
-                "verb": "selftest",
-                "input": {"level": args.level},
-                "result": [
-                    {
-                        "name": r.name,
-                        "passed": r.passed,
-                        "detail": r.detail,
-                        "seconds": round(r.seconds, 2),
-                    }
-                    for r in results
-                ],
-            }
-        )
-    return 0 if all(r.passed for r in results) else 1
+    w = lemma_witness(store, g)  # witness, the last of _EXPR_VERBS
+    if w is None:
+        return None, "none"
+    name = notation(store, w)
+    return name, name

@@ -1,8 +1,9 @@
 """Self-checks covering every headline guarantee the library makes.
 
-Each check returns a CheckResult; ``iter_checks`` runs a named level and
-yields the results as they finish, and ``format_line`` renders one as a
-PASS/FAIL line. The ``full`` level is the acceptance sweep
+Each check returns a CheckResult, and the property suites yield one per
+sweep; ``iter_checks`` runs a named level and yields the results as they
+finish, and ``format_line`` renders one as a PASS/FAIL line. The ``full``
+level is the acceptance sweep
 (exhaustive at birthday <= 2 plus a fixed 10,000-form sample at birthday 3,
 property suites at 500 cases); ``quick`` shrinks the sampled populations to
 finish well under a minute. The acceptance test module drives these same
@@ -247,12 +248,12 @@ def _sum_outcome(store: Store, g: int, x: int) -> Outcome:
 
 def check_algebraic_properties(
     store: Store, day2: list[int], day3: list[int], cases: int
-) -> list[CheckResult]:
-    """Property suites, each over at least ``cases`` fixed-seed cases."""
+) -> Iterator[CheckResult]:
+    """Property suites, each over at least ``cases`` fixed-seed cases,
+    yielding each suite's result as it ends."""
     rng = random.Random(PROPERTY_SEED)
     pop = day2 + day3
     sample = pop[:cases]
-    results: list[CheckResult] = []
 
     # g + adjoint(g) is the difference a - c with a = adjoint(g) and
     # c = conjugate(g), decided on the id pair without building the sum: it
@@ -265,7 +266,7 @@ def check_algebraic_properties(
         a, c = store.adjoint(g), store.conjugate(g)
         if _wins(store, a, c) or _wins(store, c, a):
             failures.append(notation(store, g))
-    results.append(_result("adjoint-law", t0, failures, len(sample)))
+    yield _result("adjoint-law", t0, failures, len(sample))
 
     t0 = time.perf_counter()
     failures = [
@@ -273,7 +274,7 @@ def check_algebraic_properties(
         for g in sample
         if outcome(store, store.conjugate(g)) is not conjugate_outcome(outcome(store, g))
     ]
-    results.append(_result("conjugate-outcome-symmetry", t0, failures, len(sample)))
+    yield _result("conjugate-outcome-symmetry", t0, failures, len(sample))
 
     t0 = time.perf_counter()
     failures = [
@@ -281,13 +282,13 @@ def check_algebraic_properties(
         for g in sample
         if canonical(store, canonical(store, g)) != canonical(store, g)
     ]
-    results.append(_result("canonical-idempotent", t0, failures, len(sample)))
+    yield _result("canonical-idempotent", t0, failures, len(sample))
 
     t0 = time.perf_counter()
     failures = [
         notation(store, g) for g in sample if not eq(store, g, canonical(store, g))
     ]
-    results.append(_result("canonical-preserves-value", t0, failures, len(sample)))
+    yield _result("canonical-preserves-value", t0, failures, len(sample))
 
     t0 = time.perf_counter()
     failures = []
@@ -313,7 +314,7 @@ def check_algebraic_properties(
                     failures.append(
                         f"transitivity: {notation(store, g)}, {notation(store, h)}, {notation(store, j)}"
                     )
-    results.append(_result("order-axioms", t0, failures, total))
+    yield _result("order-axioms", t0, failures, total)
 
     t0 = time.perf_counter()
     failures = []
@@ -323,7 +324,7 @@ def check_algebraic_properties(
             failures.append(
                 f"{notation(store, g)} >= {notation(store, h)} broken by +{notation(store, j)}"
             )
-    results.append(_result("sum-monotonicity", t0, failures, cases))
+    yield _result("sum-monotonicity", t0, failures, cases)
 
     t0 = time.perf_counter()
     failures = []
@@ -334,7 +335,7 @@ def check_algebraic_properties(
         wider = store.intern(set(store._lefts[g]) | {a}, store._rights[g])
         if not geq(store, wider, g):
             failures.append(f"{notation(store, g)} hurt by extra Left option")
-    results.append(_result("hand-tying", t0, failures, cases))
+    yield _result("hand-tying", t0, failures, cases)
 
     t0 = time.perf_counter()
     failures = []
@@ -353,7 +354,7 @@ def check_algebraic_properties(
             failures.append(
                 f"cancelling {notation(store, j)} flips {notation(store, g)} vs {notation(store, h)}"
             )
-    results.append(_result("invertible-cancellation", t0, failures, cases))
+    yield _result("invertible-cancellation", t0, failures, cases)
 
     t0 = time.perf_counter()
     failures = []
@@ -362,7 +363,7 @@ def check_algebraic_properties(
     for g in zero_sample:
         if geq_zero(store, g) != geq(store, g, z) or leq_zero(store, g) != geq(store, z, g):
             failures.append(notation(store, g))
-    results.append(_result("zero-test-consistency", t0, failures, len(zero_sample)))
+    yield _result("zero-test-consistency", t0, failures, len(zero_sample))
 
     # Outcomes of g + X come from the id pair (g, conjugate(X)); X is a
     # day-2 form, and day 2 is closed under conjugation, so this sweep
@@ -388,9 +389,7 @@ def check_algebraic_properties(
                 failures.append(
                     f"{notation(store, g)} vs its canonical form refuted by {notation(store, x)}"
                 )
-    results.append(_result("order-context-semantics", t0, failures, total))
-
-    return results
+    yield _result("order-context-semantics", t0, failures, total)
 
 
 def iter_checks(level: str, store: Store) -> Iterator[CheckResult]:

@@ -56,7 +56,7 @@ def test_criterion_4_positivity_lemma(store):
 
 def test_criterion_5_property_suites(store, day2, day3_big):
     """Ten algebraic property sweeps, each at 500 or more fixed-seed cases."""
-    results = check_algebraic_properties(store, day2, day3_big, 500)
+    results = list(check_algebraic_properties(store, day2, day3_big, 500))
     for r in results:
         print(format_line(r))
     assert len(results) == 10

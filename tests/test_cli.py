@@ -265,6 +265,57 @@ def test_selftest_quick_json(capsys):
     assert all(r["passed"] for r in doc["result"])
 
 
+
+def test_batch_option_order_follows_interning_order(capsys, tmp_path):
+    """Within one store options print in id order, so a --file line's
+    printed option order depends on what earlier lines interned."""
+    alone = run_cli(capsys, "followers", "{0|{0,*|0},{*|0}}")[1]
+    assert alone == "0 * {0,*|0} {*|0} {0|{0,*|0},{*|0}}\n"
+    f = tmp_path / "batch.txt"
+    f.write_text("{*|0}\n{0,*|0}\n{0|{0,*|0},{*|0}}\n")
+    last = run_cli(capsys, "followers", "--file", str(f))[1].splitlines()[-1]
+    assert last == "{0|{0,*|0},{*|0}}\t0 * {*|0} {0,*|0} {0|{*|0},{0,*|0}}"
+
+
+# One json invocation per verb, with the input its envelope echoes.
+ENVELOPE_CASES = [
+    (["outcome", "*2+*2"], "*2+*2"),
+    (["canonical", "{0,*,*2|0}", "--trace"], "{0,*,*2|0}"),
+    (["invertible", "{0|*2}", "--report"], "{0|*2}"),
+    (["inverse", "*2"], "*2"),
+    (["adjoint", "*"], "*"),
+    (["followers", "{0|*2}"], "{0|*2}"),
+    (["witness", "*2"], "*2"),
+    (["compare", "*+*", "0"], ["*+*", "0"]),
+    (
+        ["enumerate", "--birthday", "2", "--canonical-only"],
+        {"birthday": 2, "limit": None, "canonical_only": True},
+    ),
+    (["selftest", "--level", "quick"], {"level": "quick"}),
+]
+
+
+@pytest.mark.parametrize("argv, given", ENVELOPE_CASES, ids=[c[0][0] for c in ENVELOPE_CASES])
+def test_every_verb_emits_one_envelope(capsys, tmp_path, argv, given):
+    """README: --format json on any verb emits one {"verb", "input",
+    "result"} document, and with --file an array of them, one per line."""
+    rc, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert rc == 0
+    doc = json.loads(out)
+    assert list(doc) == ["verb", "input", "result"]
+    assert (doc["verb"], doc["input"]) == (argv[0], given)
+    if argv[0] not in cli._EXPR_VERBS:
+        return
+    f = tmp_path / "batch.txt"
+    f.write_text(f"{given}\n0\n")
+    rc, out, _ = run_cli(capsys, argv[0], "--file", str(f), *argv[2:], "--format", "json")
+    assert rc == 0
+    docs = json.loads(out)
+    assert [list(d) for d in docs] == [["verb", "input", "result"]] * 2
+    assert [(d["verb"], d["input"]) for d in docs] == [(argv[0], given), (argv[0], "0")]
+    assert docs[0] == doc
+
+
 # One invocation per verb, and one that ends in a domain error.
 STATS_ARGV = [
     ["outcome", "*2+*2"],

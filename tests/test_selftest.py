@@ -173,6 +173,26 @@ def test_adjoint_law_check_fails_on_a_wrong_adjoint():
     assert r.detail == f"1 of 50 failed: {notation(store, g)}"
 
 
+
+def test_property_sweeps_yield_each_result_as_it_ends(monkeypatch):
+    """The first four sweeps never call ``geq``, so they come out of the
+    generator before the order-axioms sweep, the first that does, runs."""
+    store = Store()
+    day2 = day2_population(store)
+    day3 = day3_sample(store, 300)
+
+    def no_geq(*args):
+        raise AssertionError("geq called before its sweep was asked for")
+
+    monkeypatch.setattr(selftest, "geq", no_geq)
+    sweeps = selftest.check_algebraic_properties(store, day2, day3, 50)
+    first = list(itertools.islice(sweeps, 4))
+    assert [r.name for r in first] == CHECK_NAMES[4:8]
+    assert all(r.passed for r in first)
+    with pytest.raises(AssertionError, match="geq called"):
+        next(sweeps)
+
+
 def test_positivity_check_fails_on_a_wrong_witness(monkeypatch):
     """With * as the witness for every nonzero pair, the pair route finds
     that it separates *2 - *2 from 0 but not the pairs of the two
