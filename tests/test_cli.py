@@ -265,7 +265,6 @@ def test_selftest_quick_json(capsys):
     assert all(r["passed"] for r in doc["result"])
 
 
-
 def test_batch_option_order_follows_interning_order(capsys, tmp_path):
     """Within one store options print in id order, so a --file line's
     printed option order depends on what earlier lines interned."""

@@ -173,7 +173,6 @@ def test_adjoint_law_check_fails_on_a_wrong_adjoint():
     assert r.detail == f"1 of 50 failed: {notation(store, g)}"
 
 
-
 def test_property_sweeps_yield_each_result_as_it_ends(monkeypatch):
     """The first four sweeps never call ``geq``, so they come out of the
     generator before the order-axioms sweep, the first that does, runs."""
