@@ -244,18 +244,20 @@ def _fixpoint(store: Store, g: FormId) -> FormId:
 def canonical(store: Store, g: FormId) -> FormId:
     """The canonical form of g: smallest form equivalent to g, memoized.
 
-    Works bottom-up over g's followers in ascending id order (every option
-    is older than its form, so options come first): replace every option by
-    its canonical form, then rewrite at the root to a fixpoint. Canonical
-    forms are unique, so only the fixpoint is kept: dominated options are
-    dropped all at once, and no form is interned for a step on the way
-    (``explain`` takes them one at a time with ``reduce_once`` when asked).
+    Works bottom-up in one walk over g and its followers without an entry,
+    in ascending id order (every option is older than its form, so options
+    come first): replace every option by its canonical form, then rewrite
+    at the root to a fixpoint. Canonical forms are unique, so only the
+    fixpoint is kept: dominated options are dropped all at once, and no
+    form is interned for a step on the way (``explain`` takes them one at a
+    time with ``reduce_once`` when asked).
 
     The fixpoint takes each follower's options as the follower holds them
     and canonicalises them inside its domination scan, memoized per (option
     tuple, side) in the ``kept`` table. It also memoizes every form left
     after domination, so followers that agree once dominated options are
-    gone share one reversal scan.
+    gone share one reversal scan, and the walk skips a follower that an
+    earlier one's fixpoint stored.
 
     A miss on g is first looked up under the form g's kept options make,
     the form the fixpoint's first round would reach: it has g's value, so
@@ -263,12 +265,6 @@ def canonical(store: Store, g: FormId) -> FormId:
     shows that g's options have their canonical forms, since a ``kept`` key
     is written only once every option in its tuple has one. The lookup
     writes nothing, and neither would a first round making the same hits.
-
-    Otherwise, when every option of g already has its canonical form, so
-    has every proper follower (an entry is published only after those of
-    its form's options), and g is the one follower left: it goes to the
-    fixpoint directly, without walking or memoizing its followers. The
-    order of work, and so the ids interned, are those of the full walk.
     """
     check_id(store, g)
     memo = store.canonical_memo
@@ -280,15 +276,12 @@ def canonical(store: Store, g: FormId) -> FormId:
     # None: no ``_ids`` key has a None side, and None is no memo key.
     got = memo.get(store._ids.get((kept.get((lefts[g], True)), kept.get((rights[g], False)))))
     if got is None:
-        for x in lefts[g] + rights[g]:
-            if x not in memo:
-                for f in store.followers(g):
-                    if f not in memo:
-                        memo[f] = _fixpoint(store, f)
-                return memo[g]
-        got = _fixpoint(store, g)
-    memo[g] = got
-    return got
+        for f in store._unbuilt(memo, g):
+            if f not in memo:
+                memo[f] = _fixpoint(store, f)
+    else:
+        memo[g] = got
+    return memo[g]
 
 
 def is_canonical(store: Store, g: FormId) -> bool:

@@ -214,43 +214,42 @@ class Store:
             out[name] = len(self.cache(name))
         return out
 
-    def _post_order(self, memo: dict, g: FormId, build) -> None:
-        """Give g and every follower it reaches without an entry in ``memo``
-        one, calling ``build(x)`` (which stores x's entry) once every option
-        of x has its own. Options are visited one at a time, Right then Left
-        in stored order, so forms are built in the order a recursion over
-        them would build them; the walk is on an explicit stack, so deep
-        forms need no deep Python recursion."""
+    def _unbuilt(self, memo: dict, g: FormId) -> list[FormId]:
+        """g and every follower without an entry in ``memo`` reached from g
+        through such followers, in ascending id order. Options are older
+        than their forms, so a table filled in this order finds each
+        option's entry in place. The walk is on an explicit stack, so deep
+        forms need no deep recursion."""
         lefts, rights = self._lefts, self._rights
+        seen = {g}
         stack = [g]
         while stack:
-            x = stack[-1]
-            if x in memo:  # pushed twice, and done since
-                stack.pop()
-                continue
-            missing = [o for o in rights[x] + lefts[x] if o not in memo]
-            if missing:
-                stack.extend(reversed(missing))
-            else:
-                build(x)
-                stack.pop()
+            x = stack.pop()
+            for o in lefts[x] + rights[x]:
+                if o not in memo and o not in seen:
+                    seen.add(o)
+                    stack.append(o)
+        return sorted(seen)
 
     def conjugate(self, g: FormId) -> FormId:
-        """Swap the players everywhere. An involution."""
+        """Swap the players everywhere. An involution.
+
+        On a miss every unbuilt follower gets its conjugate, in ascending id
+        order, with the pair stored both ways; a follower that is the
+        conjugate of one built before it in the walk is skipped.
+        """
         memo = self.conjugate_memo
         c = memo.get(g)
         if c is None:
             lefts, rights = self._lefts, self._rights
-
-            def build(x: FormId) -> None:
-                c = self._intern_sorted(
-                    tuple(sorted([memo[o] for o in rights[x]])),
-                    tuple(sorted([memo[o] for o in lefts[x]])),
-                )
-                memo[x] = c
-                memo[c] = x
-
-            self._post_order(memo, g, build)
+            for x in self._unbuilt(memo, g):
+                if x not in memo:
+                    c = self._intern_sorted(
+                        tuple(sorted([memo[o] for o in rights[x]])),
+                        tuple(sorted([memo[o] for o in lefts[x]])),
+                    )
+                    memo[x] = c
+                    memo[c] = x
             c = memo[g]
         return c
 
@@ -279,14 +278,14 @@ class Store:
         The adjoint of the endgame is *; otherwise Left's options are the
         adjoints of g's Right options and Right's the adjoints of g's Left
         options. (Outside the dicots a player without a move gets the option
-        0 instead; in a dicot store no form is one-sided.)
+        0 instead; in a dicot store no form is one-sided.) On a miss every
+        unbuilt follower gets its adjoint, in ascending id order.
         """
         memo = self.adjoint_memo
         a = memo.get(g)
         if a is None:
             lefts, rights = self._lefts, self._rights
-
-            def build(x: FormId) -> None:
+            for x in self._unbuilt(memo, g):
                 # The adjoint is injective, so neither side has duplicates.
                 if lefts[x]:
                     memo[x] = self._intern_sorted(
@@ -295,8 +294,6 @@ class Store:
                     )
                 else:
                     memo[x] = self.star
-
-            self._post_order(memo, g, build)
             a = memo[g]
         return a
 

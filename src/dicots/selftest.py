@@ -157,32 +157,25 @@ def check_inversion_corollaries(store: Store, values: list[int], cases: int) -> 
     """A *2 follower forces non-invertibility, and invertibility is hereditary.
 
     Both are properties of the value, so each is checked once per value from
-    ``population_values``, and each form's verdict is asked once, however
-    many values it follows; ``cases``, the population's size, is the number
-    of cases reported.
+    ``population_values``; ``cases``, the population's size, is the number
+    of cases reported. Verdicts come from ``is_invertible``, whose ``invert``
+    table answers each canonical form once, and the followers of a
+    canonical form are canonical.
     """
     t0 = time.perf_counter()
     failures: list[str] = []
     star2 = store.nimber(2)
-    verdicts: dict[int, bool] = {}
-
-    def invertible(f: int) -> bool:
-        v = verdicts.get(f)
-        if v is None:
-            v = verdicts[f] = is_invertible(store, f).verdict
-        return v
-
     for c in values:
-        verdict = invertible(c)
-        if verdict and star2 in store.followers(c):
+        if not is_invertible(store, c).verdict:
+            continue
+        if star2 in store.followers(c):
             failures.append(f"{notation(store, c)}: invertible despite a *2 follower")
-        if verdict:
-            for f in store.followers(c):
-                if not invertible(f):
-                    failures.append(
-                        f"{notation(store, c)}: non-invertible follower {notation(store, f)}"
-                    )
-                    break
+        for f in store.followers(c):
+            if not is_invertible(store, f).verdict:
+                failures.append(
+                    f"{notation(store, c)}: non-invertible follower {notation(store, f)}"
+                )
+                break
     return _result("inversion-corollaries", t0, failures, cases)
 
 

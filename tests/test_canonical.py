@@ -336,6 +336,23 @@ def test_canonical_answers_from_the_kept_form_without_a_fixpoint(monkeypatch):
     assert len(calls) == 1433
 
 
+def test_the_walk_skips_a_follower_an_earlier_fixpoint_stored(monkeypatch):
+    """Domination takes {0|0,*} from the follower {0,*,{0|0,*}|{0|*}},
+    which leaves the younger follower {0,*|{0|*}}; the older one's
+    fixpoint stores its entry, and the walk does not reduce it again (a
+    second fixpoint would scan its options for domination once more)."""
+    store = Store()
+    g = parse(store, "{{0,*,{0|0,*}|{0|*}}|{0,*|{0|*}}}")
+    older, younger = store.left(g)[0], store.right(g)[0]
+    assert older < younger
+    calls = []
+    fixpoint = canonical_module._fixpoint
+    monkeypatch.setattr(canonical_module, "_fixpoint", lambda s, f: calls.append(f) or fixpoint(s, f))
+    canonical(store, g)
+    assert older in calls and younger in store.canonical_memo
+    assert younger not in calls
+
+
 def test_canonical_interns_no_form_between_steps():
     """Two rewrites reduce {{*|*},{0,*|*}|0}: its options canonicalise to 0
     and {0,*|*}, which dominates 0, and {{0,*|*}|0} reverses to *. When the

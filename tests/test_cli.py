@@ -1,6 +1,7 @@
 """Command line behavior: exact output, formats, batching, exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -134,6 +135,10 @@ def test_inverse(capsys):
 def test_adjoint_and_followers(capsys):
     rc, out, _ = run_cli(capsys, "adjoint", "*")
     assert (rc, out) == (0, "{*|*}\n")
+    # New adjoints are interned in ascending id order of the forms they
+    # mirror, and options print in id order.
+    rc, out, _ = run_cli(capsys, "adjoint", "{0,{0|*},{*|0,*}|0,{0|0,*},{*|0,*}}")
+    assert (rc, out) == (0, "{*,{*,{*|*}|{*|*}},{*,{*|*}|*}|*,{{*|*}|*},{*,{*|*}|{*|*}}}\n")
     rc, out, _ = run_cli(capsys, "followers", "{0|*2}")
     assert (rc, out) == (0, "0 * *2 {0|*2}\n")
 
@@ -274,6 +279,32 @@ def test_batch_option_order_follows_interning_order(capsys, tmp_path):
     f.write_text("{*|0}\n{0,*|0}\n{0|{0,*|0},{*|0}}\n")
     last = run_cli(capsys, "followers", "--file", str(f))[1].splitlines()[-1]
     assert last == "{0|{0,*|0},{*|0}}\t0 * {*|0} {0,*|0} {0|{*|0},{0,*|0}}"
+
+
+# sha256 of (exit code, stdout, stderr), in order, of every invocation in
+# test_expression_verbs_print_the_pinned_bytes. Options print in id order,
+# so a change to what is interned, or when, can move these bytes; a change
+# that moves them must say why.
+BATCH_BYTES_DIGEST = "19fb58980aeea99195adad459f69855c1f45b6450030a549dd2c7bae585e3a24"
+
+
+def test_expression_verbs_print_the_pinned_bytes(capsys, tmp_path):
+    """The seven expression verbs over one --file batch (day 2 and 60
+    sampled day-3 forms), in text and json, canonical also with --trace and
+    invertible also with --report."""
+    store = Store()
+    batch = tmp_path / "batch.txt"
+    batch.write_text(
+        "".join(notation(store, g) + "\n" for g in day2_population(store) + day3_sample(store, 60))
+    )
+    flags = {"canonical": ["--trace"], "invertible": ["--report"]}
+    digest = hashlib.sha256()
+    for verb in cli._EXPR_VERBS:
+        for extra in [[], flags[verb]] if verb in flags else [[]]:
+            for fmt in ("text", "json"):
+                got = run_cli(capsys, verb, "--file", str(batch), "--format", fmt, *extra)
+                digest.update(repr(got).encode())
+    assert digest.hexdigest() == BATCH_BYTES_DIGEST
 
 
 # One json invocation per verb, with the input its envelope echoes.

@@ -160,6 +160,15 @@ def test_cache_returns_the_attribute_tables():
         store.cache("no-such-table")
 
 
+def test_memo_tables_are_exactly_the_memo_attributes():
+    """stats() and --stats report MEMO_TABLES, so every ``*_memo``
+    attribute a store sets must be named there, and every name must have
+    its attribute."""
+    attrs = {name.removesuffix("_memo") for name in vars(Store()) if name.endswith("_memo")}
+    assert attrs == set(MEMO_TABLES)
+    assert len(MEMO_TABLES) == len(set(MEMO_TABLES))
+
+
 def test_stats_counts_forms_and_every_memo_table():
     store = Store()
     assert store.stats() == {"forms": 2, **dict.fromkeys(MEMO_TABLES, 0)}
@@ -194,9 +203,9 @@ def test_stats_counts_forms_and_every_memo_table():
 # outcomes are fixed at interning and fill no table, so first_wins holds only
 # the pairs the zero tests and the invertibility scan ask about. The follower
 # scan interns no self-pair sums (sum and conjugate stay empty) and runs
-# once per canonical form (invert); canonical walks the followers only of
-# forms with a non-canonical option, and followers memoizes only the form
-# asked for, so followers holds just the canonical forms the scan walked.
+# once per canonical form (invert); canonical walks followers without the
+# followers table, which memoizes only the form asked for, so followers
+# holds just the canonical forms the scan walked.
 # canonical interns no form per rewrite step and records no trace
 # (canonical_steps stays empty until explain). Its fixpoint runs the
 # reversal scan once per post-domination form and stores that form's
@@ -291,9 +300,8 @@ def test_conjugate_and_adjoint_take_deep_forms():
 
 
 def _recursive(store, memo, g, op):
-    """Reference recursion for conjugate ("conjugate") and adjoint: options
-    Right then Left, each finished before the next, as the store's own
-    loops promise to build them."""
+    """Reference recursion for conjugate ("conjugate") and adjoint, straight
+    from the definitions."""
     if g not in memo:
         rs = [_recursive(store, memo, x, op) for x in store.right(g)]
         ls = [_recursive(store, memo, x, op) for x in store.left(g)]
@@ -305,21 +313,45 @@ def _recursive(store, memo, g, op):
     return memo[g]
 
 
+def _walk_population(store):
+    """Sums of day-3 forms, youngest first, then day 2 and 300 sampled
+    day-3 forms. The sums' followers are sums whose conjugates, adjoints
+    and canonical forms are new forms, several per call."""
+    forms = day2_population(store) + day3_sample(store, 300)
+    return [store.sum(g, h) for g, h in zip(forms[10:60], forms[11:61])][::-1] + forms
+
+
 @pytest.mark.parametrize("op", ["conjugate", "adjoint"])
-def test_conjugate_and_adjoint_intern_in_recursion_order(op):
-    """Ids are part of the output (notation orders options by id), so the
-    explicit-stack loops must intern exactly what a recursion would, in the
-    same order."""
+def test_conjugate_and_adjoint_agree_with_a_recursion(op):
+    """In one store the walk and the recursion give every form the same
+    id, and the store hash-conses, so the same id is the same form."""
+    store = Store()
     memo: dict = {}
-    fast, slow = Store(), Store()
-    for store in (fast, slow):  # built alike, so their ids agree
-        forms = day2_population(store) + day3_sample(store, 300)
-        # Sums of day-3 forms, youngest first: their followers are sums
-        # whose conjugates and adjoints are new forms, several per call.
-        forms = [store.sum(g, h) for g, h in zip(forms[10:60], forms[11:61])][::-1] + forms
-    for g in forms:
-        assert getattr(fast, op)(g) == _recursive(slow, memo, g, op)
-    assert len(fast) == len(slow)
+    for g in _walk_population(store):
+        assert getattr(store, op)(g) == _recursive(store, memo, g, op)
+
+
+@pytest.mark.parametrize("op", ["conjugate", "adjoint", "canonical"])
+def test_unbuilt_lists_the_followers_without_an_entry(op):
+    """Each table is closed under followers, so the forms a miss walks are
+    exactly g's followers without an entry, in ascending id order."""
+    store = Store()
+    memo = getattr(store, f"{op}_memo")
+    build = {
+        "conjugate": store.conjugate,
+        "adjoint": store.adjoint,
+        "canonical": lambda g: canonical(store, g),
+    }[op]
+    for g in _walk_population(store):
+        if g not in memo:
+            assert store._unbuilt(memo, g) == [f for f in store.followers(g) if f not in memo]
+        build(g)
+
+
+def test_canonical_walks_without_the_followers_table():
+    store = Store()
+    canonical(store, parse(store, "{0,*,*2|0}+{0|*2}"))
+    assert store.stats()["followers"] == 0
 
 
 def test_conjugate_swaps_players_and_is_an_involution(store, day2):
