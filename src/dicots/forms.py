@@ -305,30 +305,17 @@ class Store:
     def followers(self, g: FormId) -> tuple[FormId, ...]:
         """All positions reachable by any sequence of moves, g included, sorted by id.
 
-        Only the form asked for gets a memo entry, so memory stays linear in
-        the answers; a follower that has an entry already contributes it
-        whole. The rest is walked on an explicit stack, so deep forms need
-        no deep Python recursion. Options are older than their forms, so
-        ascending id order lists every follower after its own followers.
+        The answer is ``_unbuilt`` over an empty table: every follower is
+        unbuilt there, so it walks them all on an explicit stack and deep
+        forms need no deep Python recursion. Only the form asked for gets a
+        memo entry, so memory stays linear in the answers. Options are older
+        than their forms, so ascending id order lists every follower after
+        its own followers.
         """
         memo = self.followers_memo
         f = memo.get(g)
         if f is None:
-            lefts, rights = self._lefts, self._rights
-            seen = {g}
-            stack = [g]
-            while stack:
-                x = stack.pop()
-                for o in lefts[x] + rights[x]:
-                    if o in seen:
-                        continue
-                    known = memo.get(o)
-                    if known is None:
-                        seen.add(o)
-                        stack.append(o)
-                    else:
-                        seen.update(known)
-            f = memo[g] = tuple(sorted(seen))
+            f = memo[g] = tuple(self._unbuilt({}, g))
         return f
 
     def nimber(self, n: int) -> FormId:
@@ -518,19 +505,6 @@ def _subsets(population: list[FormId]) -> list[tuple[FormId, ...]]:
     return subsets
 
 
-def _layer_sizes(max_birthday: int) -> list[int]:
-    """Form counts per birthday; options draw on every strictly younger form."""
-    sizes = [1]
-    older = 0  # forms of birthday <= d-2
-    total = 1  # forms of birthday <= d-1
-    for _ in range(max_birthday):
-        full = (1 << total) - 1
-        small = (1 << older) - 1
-        sizes.append(full * full - small * small)
-        older, total = total, total + sizes[-1]
-    return sizes
-
-
 def enumerate_dicots(
     store: Store,
     max_birthday: int,
@@ -544,72 +518,54 @@ def enumerate_dicots(
     (left, right) subset masks over the previously generated population,
     skipping pairs already generated on an earlier day. With ``limit`` set
     to less than the population size, yields a fixed-seed pseudo-random
-    sample of that many forms instead (a subsequence of the full order);
-    with ``limit`` at least the population size, yields everything.
+    sample of that many forms instead; with ``limit`` at least the
+    population size, yields everything.
 
     Raises BoundExceeded when max_birthday exceeds DEFAULT_BIRTHDAY_BOUND
     (3) or when max_birthday or ``limit`` is negative. The bound is
     deliberate: day-4 populations are astronomically large.
 
-    Both paths build each option subset of the previous population once
-    per mask, as a sorted tuple (1,023 of them for day 3), and intern every
-    form from two of them unchecked: population ids are distinct interned
-    forms and masks are never 0, so each pair is a valid dicot.
+    The earlier days are enumerated in full first. Then each position of
+    the order, every one or the sorted sample of them, is decoded into a
+    (left, right) pair of masks, so a sample is a subsequence of the full
+    order by construction. Each option subset of the previous population
+    is built once per mask, as a sorted tuple (1,023 of them for day 3),
+    and every form is interned from two of them unchecked: population ids
+    are distinct interned forms and masks are never 0, so each pair is a
+    valid dicot.
     """
     if max_birthday < 0:
         raise BoundExceeded("max_birthday must be >= 0")
     if max_birthday > DEFAULT_BIRTHDAY_BOUND:
         raise BoundExceeded(f"max_birthday {max_birthday} exceeds bound {DEFAULT_BIRTHDAY_BOUND}")
-    if limit is not None:
-        yield from _sample(store, max_birthday, limit, seed)
-        return
-    population: list[FormId] = [store.zero]
-    yield store.zero
-    older = 0
-    for _day in range(max_birthday):
-        prev = len(population)
-        small = (1 << older) - 1
-        subsets = _subsets(population)
-        layer: list[FormId] = []
-        for mi in range(1, 1 << prev):
-            li = subsets[mi]
-            rstart = small + 1 if mi <= small else 1
-            for ri in range(rstart, 1 << prev):
-                form = store._intern_sorted(li, subsets[ri])
-                layer.append(form)
-                yield form
-        population.extend(layer)
-        older = prev
-
-
-def _sample(store: Store, max_birthday: int, limit: int, seed: int):
-    if limit < 0:
+    if limit is not None and limit < 0:
         raise BoundExceeded("limit must be >= 0")
-    sizes = _layer_sizes(max_birthday)
-    total = sum(sizes)
-    if limit >= total:
-        yield from enumerate_dicots(store, max_birthday, None, seed=seed)
+    if max_birthday == 0:  # the endgame alone
+        yield from [store.zero][:limit]
         return
-    if max_birthday == 0:  # day 0 holds one form, so limit is 0 here
-        return
-    picks = sorted(random.Random(seed).sample(range(total), limit))
-    population = list(enumerate_dicots(store, max_birthday - 1, None))
-    subsets = _subsets(population)
-    base = len(population)  # == total - sizes[-1]
-    older = base - sizes[-2]  # forms of birthday <= max_birthday - 2
-    small = (1 << older) - 1
-    full = (1 << base) - 1
-    small_rows = small * (full - small)
-    for idx in picks:
-        if idx < base:
-            yield population[idx]
-            continue
+    population = list(enumerate_dicots(store, max_birthday - 1))
+    base = len(population)
+    # Masks 1..small select only forms born before the previous day. The
+    # new day's pairs run row by row over the masks 1..full, skipping the
+    # small * small pairs of two such masks: those are earlier forms.
+    older = sum([1 for g in population if store._birthdays[g] < max_birthday - 1])
+    small, full = (1 << older) - 1, (1 << base) - 1
+    skipped = small * small
+    split = small * full - skipped  # where the rows of left masks 1..small end
+    total = base + full * full - skipped
+    if limit is None or limit >= total:
+        positions: Iterable[int] = range(total)
+    else:
+        positions = sorted(random.Random(seed).sample(range(total), limit))
+    masks = _subsets(population)[1:]  # masks[m - 1] is the subset with mask m
+    intern = store._intern_sorted
+    for idx in positions:
         r = idx - base
-        if r < small_rows:
-            mi = 1 + r // (full - small)
-            ri = small + 1 + r % (full - small)
+        if r >= split:  # every right mask, past the skipped pairs
+            left, right = divmod(r + skipped, full)
+            yield intern(masks[left], masks[right])
+        elif r >= 0:  # left masks 1..small take right masks above small
+            left, right = divmod(r, full - small)
+            yield intern(masks[left], masks[small + right])
         else:
-            r2 = r - small_rows
-            mi = small + 1 + r2 // full
-            ri = 1 + r2 % full
-        yield store._intern_sorted(subsets[mi], subsets[ri])
+            yield population[idx]

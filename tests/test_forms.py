@@ -537,6 +537,12 @@ def test_populations_are_pinned_across_machines():
     assert _notation_digest(s, day3_sample(s, 300)) == (
         "d3d26078a8d655babcd08d3f1212b445147c5aee01b0474c16e286a0c90d97e2"
     )
+    # The full day-3 order; positions from 3,070 on pair left masks above
+    # the older forms' with every right mask.
+    s = Store()
+    assert _notation_digest(s, itertools.islice(enumerate_dicots(s, 3), 5000)) == (
+        "0cac1718aa7c6c2fc89b307211702f017edcd490760bdd89fc92000e16ad894d"
+    )
 
 
 def test_sampling_with_plentiful_limit_is_full_enumeration(store, day2):
@@ -549,6 +555,13 @@ def test_sample_is_a_subsequence_of_the_full_order(store, day2):
     positions = [day2.index(g) for g in sampled]
     assert positions == sorted(positions)
     assert len(set(sampled)) == 6
+    # Day 3, drawn as day3_sample(10_000) draws, against a prefix of the
+    # full order in the same store.
+    s = Store()
+    prefix = {g: i for i, g in enumerate(itertools.islice(enumerate_dicots(s, 3), 20_000))}
+    positions = [prefix[g] for g in enumerate_dicots(s, 3, limit=10_060) if g in prefix]
+    assert len(positions) == 185
+    assert positions == sorted(positions)
 
 
 def test_seed_changes_the_sample():
@@ -570,6 +583,10 @@ def test_enumeration_bounds(store):
         list(enumerate_dicots(store, 4))
     with pytest.raises(BoundExceeded):
         list(enumerate_dicots(store, 4, limit=5))
+    with pytest.raises(BoundExceeded):
+        list(enumerate_dicots(store, 0, limit=-1))
+    with pytest.raises(BoundExceeded):
+        list(enumerate_dicots(store, 3, limit=-1))
     assert list(enumerate_dicots(store, 0, limit=0)) == []
 
 
