@@ -29,36 +29,20 @@ class Outcome(Enum):
         return self.value
 
 
-# For ``outcome``: reading a member off the Enum class is slow on Python 3.11.
+# Reading a member off the Enum class is slow on Python 3.11.
 _L, _N, _P, _R = Outcome.L, Outcome.N, Outcome.P, Outcome.R
-
-_GE = frozenset(
-    [(o, o) for o in Outcome]
-    + [
-        (Outcome.L, Outcome.N),
-        (Outcome.L, Outcome.P),
-        (Outcome.L, Outcome.R),
-        (Outcome.N, Outcome.R),
-        (Outcome.P, Outcome.R),
-    ]
-)
-
-_CONJ = {
-    Outcome.L: Outcome.R,
-    Outcome.R: Outcome.L,
-    Outcome.N: Outcome.N,
-    Outcome.P: Outcome.P,
-}
 
 
 def outcome_geq(a: Outcome, b: Outcome) -> bool:
-    """True iff a is at least as good for Left as b (N and P are incomparable)."""
-    return (a, b) in _GE
+    """True iff a is at least as good for Left as b: L is above every
+    outcome, R below every outcome, and N and P are incomparable."""
+    return a is b or a is _L or b is _R
 
 
 def conjugate_outcome(a: Outcome) -> Outcome:
-    """Outcome after swapping the players: L and R trade places, N and P stay."""
-    return _CONJ[a]
+    """Outcome after swapping the players: Left wins moving first exactly
+    when Right did, so L and R trade places and N and P stay."""
+    return _outcome_of(a is _R or a is _N, a is _L or a is _N)
 
 
 def left_wins_moving_first(store: Store, g: FormId) -> bool:

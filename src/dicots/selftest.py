@@ -248,17 +248,13 @@ def check_algebraic_properties(
     pop = day2 + day3
     sample = pop[:cases]
 
-    # g + adjoint(g) is the difference a - c with a = adjoint(g) and
-    # c = conjugate(g), decided on the id pair without building the sum: it
-    # is P exactly when Left moving first (a, c) and Right moving first
-    # (c, a) both lose. conjugate(g) is interned for the symmetry check
-    # below anyway; no adjoint is conjugated.
+    # Judged on id pairs like the order-context sweep; no adjoint is conjugated.
     t0 = time.perf_counter()
-    failures = []
-    for g in sample:
-        a, c = store.adjoint(g), store.conjugate(g)
-        if _wins(store, a, c) or _wins(store, c, a):
-            failures.append(notation(store, g))
+    failures = [
+        notation(store, g)
+        for g in sample
+        if _sum_outcome(store, store.adjoint(g), g) is not Outcome.P
+    ]
     yield _result("adjoint-law", t0, failures, len(sample))
 
     t0 = time.perf_counter()

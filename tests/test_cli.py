@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -99,6 +100,15 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "P\n", "")
+
+
+def test_console_main_exits_with_mains_status(monkeypatch):
+    """``python -m dicots`` and the ``dicots`` script end in
+    ``console_main``, which exits with the status ``main`` returns."""
+    monkeypatch.setattr(cli, "main", lambda: 3)
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("dicots", run_name="__main__")
+    assert done.value.code == 3
 
 
 def test_invertible_text(capsys):

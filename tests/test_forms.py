@@ -627,3 +627,21 @@ def test_validate_rejects_a_fact_the_options_do_not_give(facts):
         damaged[g] = not damaged[g]
     with pytest.raises(ValueError, match=f"form {g} has a wrong birthday or outcome"):
         store.validate()
+
+
+@pytest.mark.parametrize(
+    "table, options, error, message",
+    [
+        ("_rights", lambda g: (), DicotViolation, "is one-sided"),
+        ("_lefts", lambda g: (0, g), ValueError, "has an option .* not older than itself"),
+        ("_rights", lambda g: (1, 0), ValueError, "has unsorted or duplicated options"),
+        ("_lefts", lambda g: (0, 0), ValueError, "has unsorted or duplicated options"),
+    ],
+    ids=["one-sided", "option-not-older", "unsorted", "duplicated"],
+)
+def test_validate_rejects_damaged_options(table, options, error, message):
+    store = Store()
+    g = parse(store, "{0,*|0,*}")
+    getattr(store, table)[g] = options(g)
+    with pytest.raises(error, match=f"form {g} {message}"):
+        store.validate()

@@ -5,7 +5,18 @@ import itertools
 
 import pytest
 
-from dicots import Outcome, Store, canonical, is_invertible, notation, outcome, selftest
+from dicots import (
+    Outcome,
+    OrderResult,
+    Store,
+    canonical,
+    geq,
+    is_invertible,
+    notation,
+    outcome,
+    parse,
+    selftest,
+)
 from dicots.selftest import CheckResult, day2_population, day3_sample, format_line, iter_checks
 
 CHECK_NAMES = [
@@ -209,3 +220,170 @@ def test_positivity_check_fails_on_a_wrong_witness(monkeypatch):
         "2 of 22 failed: {0|*2}: witness fails to distinguish; "
         "{0|{0,*|{0|0,*},{*|0,*}}}: witness fails to distinguish"
     )
+
+
+def _replace(name, fake):
+    """Patch selftest's ``name`` with ``fake``."""
+    return lambda monkeypatch, store: monkeypatch.setattr(selftest, name, fake)
+
+
+def _deny_geq(g_text, h_text):
+    """Patch selftest's ``geq`` to deny g >= h for one pair of forms and
+    answer truly for every other pair."""
+
+    def patch(monkeypatch, store):
+        pair = (parse(store, g_text), parse(store, h_text))
+        monkeypatch.setattr(selftest, "geq", lambda s, g, h: (g, h) != pair and geq(s, g, h))
+
+    return patch
+
+
+def _conjugate_as_canonical(monkeypatch, store):
+    monkeypatch.setattr(selftest, "canonical", lambda s, g: s.conjugate(g))
+
+
+def _negating_sum(monkeypatch, store):
+    monkeypatch.setattr(store, "sum", lambda g, h: store.conjugate(g))
+
+
+def _star2_invertible(monkeypatch, store):
+    star2 = store.nimber(2)
+
+    def broken(s, g):
+        report = is_invertible(s, g)
+        return dataclasses.replace(report, verdict=True) if g == star2 else report
+
+    monkeypatch.setattr(selftest, "is_invertible", broken)
+
+
+def _corollaries(store):
+    values = selftest.population_values(store, day2_population(store))
+    return selftest.check_inversion_corollaries(store, values, 10)
+
+
+def _sweep(name):
+    """Run the property sweeps on day 2 and 300 day-3 forms at 50 cases,
+    up to the one named, and return its result."""
+
+    def run(store):
+        day2, day3 = day2_population(store), day3_sample(store, 300)
+        sweeps = selftest.check_algebraic_properties(store, day2, day3, 50)
+        return next(r for r in sweeps if r.name == name)
+
+    return run
+
+
+# Each check with one call it relies on broken, and what its detail must
+# report: how many cases failed, and the first failure it names.
+BROKEN_CHECKS = {
+    "reference-positions": (
+        selftest.check_reference_positions,
+        _replace("is_canonical", lambda s, g: False),
+        ("2 of 14", "{0|*2} canonical"),
+    ),
+    "corollaries-star2": (
+        _corollaries,
+        _star2_invertible,
+        ("1 of 10", "*2: invertible despite a *2 follower"),
+    ),
+    "positivity-no-positive": (
+        selftest.check_positivity_under_self_pairs,
+        _replace("compare", lambda s, g, h: OrderResult.EQ),
+        ("1 of 12", "no strictly positive day-2 form found"),
+    ),
+    "positivity-lemma": (
+        selftest.check_positivity_under_self_pairs,
+        _replace("lemma_check", lambda s, g, h: False),
+        ("10 of 22", "{0,*|*} + 0 - same dropped below 0"),
+    ),
+    "positivity-no-witness": (
+        selftest.check_positivity_under_self_pairs,
+        _replace("lemma_witness", lambda s, h: None),
+        ("3 of 22", "*2: no witness for a nonzero pair"),
+    ),
+    "positivity-zero-pair-witness": (
+        selftest.check_positivity_under_self_pairs,
+        _replace("lemma_witness", lambda s, h: s.star),
+        ("11 of 22", "0: witness for a zero pair"),
+    ),
+    "conjugate-outcome-symmetry": (
+        _sweep("conjugate-outcome-symmetry"),
+        _replace("conjugate_outcome", lambda o: o),
+        ("18 of 50", "{0|*}"),
+    ),
+    "canonical-idempotent": (
+        _sweep("canonical-idempotent"),
+        _conjugate_as_canonical,
+        ("46 of 50", "{0|*}"),
+    ),
+    "canonical-preserves-value": (
+        _sweep("canonical-preserves-value"),
+        _conjugate_as_canonical,
+        ("45 of 50", "{0|*}"),
+    ),
+    "order-axioms-reflexivity": (
+        _sweep("order-axioms"),
+        _deny_geq("0", "0"),
+        ("2 of 1626", "reflexivity: 0"),
+    ),
+    "order-axioms-antisymmetry": (
+        _sweep("order-axioms"),
+        _replace("eq", lambda s, g, h: True),
+        ("552 of 1626", "antisymmetry: 0 = *"),
+    ),
+    "order-axioms-transitivity": (
+        _sweep("order-axioms"),
+        _deny_geq("{0,*|0}", "{0|0,*}"),
+        ("2 of 1626", "transitivity: {0,*|0}, *, {0|0,*}"),
+    ),
+    "sum-monotonicity": (
+        _sweep("sum-monotonicity"),
+        _negating_sum,
+        ("8 of 50", "{0,*|*} >= *2 broken by +{0|*}"),
+    ),
+    "hand-tying": (
+        _sweep("hand-tying"),
+        _replace("geq", lambda s, g, h: False),
+        (
+            "50 of 50",
+            "{*,{0|*},{0|0,*},{*|0},{*|*},{0,*|0}|0,{0|0,*},{*|*},*2} hurt by extra Left option",
+        ),
+    ),
+    "invertible-cancellation": (
+        _sweep("invertible-cancellation"),
+        _negating_sum,
+        ("16 of 50", "cancelling {0,*|0} flips {0,*|0} vs *"),
+    ),
+    "zero-test-consistency": (
+        _sweep("zero-test-consistency"),
+        _replace("geq_zero", lambda s, g: True),
+        ("60 of 100", "*"),
+    ),
+    "order-context-semantics-order": (
+        _sweep("order-context-semantics"),
+        _replace("outcome_geq", lambda a, b: a is b),
+        ("111 of 650", "0 >= {*|0,*} refuted by *"),
+    ),
+    "order-context-semantics-canonical": (
+        _sweep("order-context-semantics"),
+        _conjugate_as_canonical,
+        (
+            "86 of 650",
+            "{*,{0|*},{0|0,*},{*|*},{*|0,*},{0,*|0},{0,*|*}|*,{0|*},{0|0,*},{*|*},{0,*|0},{0,*|*}}"
+            " vs its canonical form refuted by {0|*}",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_CHECKS)
+def test_each_check_fails_on_a_broken_call(monkeypatch, case):
+    """Every failure branch of the selftest is reachable: with one call a
+    check relies on broken, the check fails and names the broken case."""
+    run, patch, (count, first) = BROKEN_CHECKS[case]
+    store = Store()
+    patch(monkeypatch, store)
+    r = run(store)
+    assert r.passed is False
+    failed, failures = r.detail.split(" failed: ", 1)
+    assert (failed, failures.split("; ")[0]) == (count, first)
